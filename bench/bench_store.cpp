@@ -12,10 +12,12 @@
 //   - BM_DatasetRestageColdVsWarm   one multi-MiB..GiB virtual dataset,
 //                                   staged cold then restaged warm under
 //                                   a different name (different durable
-//                                   transfer key, so this is store dedup,
-//                                   not the completed-transfer tombstone)
+//                                   bundle key, so this is store dedup,
+//                                   not the committed-bundle tombstone)
 //   - BM_SmallFilesRestageColdVsWarm  a directory of 64 KiB files,
-//                                   staged twice the same way
+//                                   staged twice the same way, one file
+//                                   per deliver_files call (each goes
+//                                   whole-blob: no wire dedup)
 //   - BM_InternDedup                local interning throughput (SHA-256
 //                                   bound) and the dedup fast path
 //   - BM_SpillFaultRoundTrip        eviction to the spill tier and the
@@ -59,38 +61,24 @@ struct StoreSites {
         grid.site("LRZ")->njs().consign(job, auth, user.certificate).value();
     grid.engine().run_until(grid.engine().now() + sim::sec(1));
 
-    auto* juelich = grid.site("FZ-Juelich");
-    juelich->set_transfer_threshold(0);  // every file takes the rails
-    juelich->set_transfer_streams(4);
+    grid.site("FZ-Juelich")->set_transfer_streams(4);
 
-    // Warm the peer channel so handshakes are not measured.
-    bool warm = false;
-    juelich->deliver_file(njs::RemoteJobHandle{"LRZ", receiver_token},
-                          "warmup",
-                          std::make_shared<const uspace::FileBlob>(
-                              uspace::FileBlob::synthetic(8, 200)),
-                          [&](util::Status) { warm = true; });
-    while (!warm && grid.engine().step()) {
-    }
+    // Warm the peer channel (a single small file goes whole-blob) and
+    // the rails (a two-file bundle) so handshakes are not measured.
+    auto tiny = [](std::uint64_t seed) {
+      return std::make_shared<const uspace::FileBlob>(
+          uspace::FileBlob::synthetic(8, seed));
+    };
+    (void)deliver_ms(tiny(200), "warmup");
+    (void)deliver_tree_ms({{"warmup0", tiny(201)}, {"warmup1", tiny(202)}});
   }
 
-  /// Delivers `blob` as `name`, returning the simulated milliseconds it
-  /// took (negative on failure).
+  /// Delivers `blob` as `name` — one file, on whichever path
+  /// deliver_files picks for it — returning the simulated milliseconds
+  /// it took (negative on failure).
   double deliver_ms(const std::shared_ptr<const uspace::FileBlob>& blob,
                     const std::string& name) {
-    sim::Time start = grid.engine().now();
-    bool replied = false;
-    bool ok = false;
-    grid.site("FZ-Juelich")
-        ->deliver_file(njs::RemoteJobHandle{"LRZ", receiver_token}, name, blob,
-                       [&](util::Status status) {
-                         replied = true;
-                         ok = status.ok();
-                       });
-    while (!replied && grid.engine().step()) {
-    }
-    if (!ok) return -1;
-    return sim::to_seconds(grid.engine().now() - start) * 1e3;
+    return deliver_tree_ms({{name, blob}});
   }
 
   xfer::Service& receiver_xfer() { return grid.site("LRZ")->xfer_service(); }
@@ -98,8 +86,8 @@ struct StoreSites {
     return *grid.site("LRZ")->chunk_store();
   }
 
-  /// Delivers a whole tree through the bundle path (deliver_files →
-  /// kXferBundleOpen manifests), returning simulated milliseconds.
+  /// Delivers a whole tree (deliver_files → kXferBundleOpen manifests),
+  /// returning simulated milliseconds.
   double deliver_tree_ms(
       std::vector<std::pair<std::string,
                             std::shared_ptr<const uspace::FileBlob>>>
@@ -224,11 +212,11 @@ BENCHMARK(BM_SmallFilesRestageColdVsWarm)
     ->Arg(10'000)
     ->Arg(100'000);
 
-/// Bundle manifests vs the per-file path for the same directory of
-/// 64 KiB files. The per-file leg pays open+chunk+close round trips
-/// per file; the bundle leg pays ONE open and ONE close for the whole
-/// batch with chunks interleaved over the shared window — the
-/// kXferBundleOpen headline (≥10x at 1e4 files).
+/// One bundle vs N one-file deliveries for the same directory of
+/// 16 KiB files. The per-file leg pays one delivery per file on
+/// whichever path deliver_files picks (a whole-blob message at this
+/// size); the bundle leg pays ONE open and ONE close for the whole
+/// batch with chunks interleaved over the shared window.
 void BM_SmallFilesBundleVsPerFile(benchmark::State& state) {
   StoreSites env;
   int files = static_cast<int>(state.range(0));

@@ -1,5 +1,5 @@
-// C5 — the §5.6 file-transfer picture, before and after the chunked
-// transfer engine:
+// C5 — the §5.6 file-transfer picture, and the chunked transfer engine
+// that answers it:
 //
 // "Imports from Xspace to Uspace and exports from Uspace to Xspace are
 //  always local operations performed at a Vsite. ... The file transfer
@@ -8,18 +8,21 @@
 //  to transfer rates especially for huge data sets UNICORE is working
 //  on alternatives."
 //
-// Three series:
+// Series:
 //   - the local Xspace->Uspace copy (the paper's fast case),
-//   - the legacy whole-blob NJS–NJS delivery (one message, one
-//     connection — the transfer-rate ceiling the paper concedes),
-//   - the chunked engine (src/xfer/) at 1/2/4/8 parallel streams.
+//   - UsiteServer::deliver_files of one file, on whichever path it
+//     picks (one whole-blob kDeliverFile message below
+//     kWholeBlobLimit, a one-file bundle above),
+//   - a one-file bundle through the chunked engine (src/xfer/) at
+//     1/2/4/8 parallel streams, at every size,
+//   - whole-blob vs one-file bundle head to head below kWholeBlobLimit
+//     (the evidence that keeps the whole-blob fast path),
+//   - pulls of one file through the engine.
 //
 // `virtual_ms` is the simulated elapsed time; `virtual_MBps` the
 // effective rate the user observes. The simulated network serialises
 // bandwidth per connection direction, so N rails ≈ N lanes.
 #include <benchmark/benchmark.h>
-
-#include <limits>
 
 #include "common/test_env.h"
 #include "grid/testbed.h"
@@ -110,53 +113,76 @@ BENCHMARK(BM_LocalImportXspaceToUspace)
     ->Arg(8 << 20)
     ->Arg(64 << 20);
 
-/// Shared driver for the two remote-delivery series.
-void run_remote_delivery(benchmark::State& state, std::uint64_t bytes,
-                         bool chunked, std::size_t streams) {
-  TwoSites env;
-  njs::RemoteJobHandle handle{"LRZ", env.receiver_token};
-  auto* juelich = env.grid.site("FZ-Juelich");
-  if (chunked) {
-    juelich->set_transfer_threshold(0);
-    juelich->set_transfer_streams(streams);
-  } else {
-    juelich->set_transfer_threshold(
-        std::numeric_limits<std::uint64_t>::max());
-  }
+using Files = std::vector<
+    std::pair<std::string, std::shared_ptr<const uspace::FileBlob>>>;
 
-  // Warm up the peer channel (and rails) so handshakes are not measured.
-  bool warm = false;
-  juelich->deliver_file(
-      handle, "warmup",
-      std::make_shared<const uspace::FileBlob>(
-          uspace::FileBlob::synthetic(8, 3)),
-      [&](util::Status) { warm = true; });
-  while (!warm && env.grid.engine().step()) {
+/// How one file crosses from FZJ to LRZ.
+enum class Path {
+  kPicked,  // deliver_files: whole-blob below kWholeBlobLimit, else bundle
+  kBundle,  // a one-file bundle through the chunked engine, at any size
+};
+
+/// Delivers `files` along `path` and returns the simulated ms it took
+/// (negative on failure).
+double deliver_ms(TwoSites& env, Path path, Files files) {
+  auto* juelich = env.grid.site("FZ-Juelich");
+  njs::RemoteJobHandle handle{"LRZ", env.receiver_token};
+  sim::Time start = env.grid.engine().now();
+  bool replied = false;
+  bool ok = false;
+  if (path == Path::kPicked) {
+    juelich->deliver_files(handle, std::move(files), [&](util::Status status) {
+      replied = true;
+      ok = status.ok();
+    });
+  } else {
+    std::vector<xfer::BundleFile> bundle;
+    for (auto& [name, blob] : files) bundle.push_back({name, std::move(blob)});
+    juelich->transfer_manager().push_bundle(
+        juelich->peer_rails("LRZ"),
+        xfer::BundlePushSpec{"FZ-Juelich", env.receiver_token},
+        std::move(bundle), juelich->transfer_options(),
+        [&](util::Result<xfer::BundleStats> result) {
+          replied = true;
+          ok = result.ok();
+        });
   }
-  if (!warm) state.SkipWithError("peer link failed");
+  while (!replied && env.grid.engine().step()) {
+  }
+  if (!ok) return -1;
+  return sim::to_seconds(env.grid.engine().now() - start) * 1e3;
+}
+
+/// Warms the peer channel and the rails so handshakes are not measured.
+bool warm_up(TwoSites& env) {
+  auto tiny = [](std::uint64_t seed) {
+    return std::make_shared<const uspace::FileBlob>(
+        uspace::FileBlob::synthetic(8, seed));
+  };
+  return deliver_ms(env, Path::kPicked, {{"warmup", tiny(3)}}) >= 0 &&
+         deliver_ms(env, Path::kBundle, {{"warmup-rails", tiny(4)}}) >= 0;
+}
+
+/// Shared driver for the remote-delivery series: fresh content every
+/// round, because the receiver's content-addressed store would satisfy
+/// a repeated blob out of the open's digest manifest without moving a
+/// byte, and these series measure the cold path (the dedup-warm path is
+/// bench_store's subject).
+void run_remote_delivery(benchmark::State& state, std::uint64_t bytes,
+                         Path path, std::size_t streams) {
+  TwoSites env;
+  env.grid.site("FZ-Juelich")->set_transfer_streams(streams);
+  if (!warm_up(env)) state.SkipWithError("peer link failed");
 
   double virtual_ms_total = 0;
   int runs = 0;
   for (auto _ : state) {
-    // Fresh content every round: the receiver's content-addressed
-    // store would satisfy a repeated blob out of the open's digest
-    // manifest without moving a byte, and this series measures the
-    // cold path (the dedup-warm path is bench_store's subject).
     auto blob = std::make_shared<const uspace::FileBlob>(
-        uspace::FileBlob::synthetic(bytes, 2 + runs));
-    sim::Time start = env.grid.engine().now();
-    bool done = false;
-    bool replied = false;
-    juelich->deliver_file(handle, "chunk" + std::to_string(runs), blob,
-                          [&](util::Status status) {
-                            replied = true;
-                            done = status.ok();
-                          });
-    while (!replied && env.grid.engine().step()) {
-    }
-    if (!done) state.SkipWithError("delivery failed");
-    virtual_ms_total +=
-        sim::to_seconds(env.grid.engine().now() - start) * 1e3;
+        uspace::FileBlob::synthetic(bytes, 10 + runs));
+    double ms =
+        deliver_ms(env, path, {{"chunk" + std::to_string(runs), blob}});
+    if (ms < 0) state.SkipWithError("delivery failed");
+    virtual_ms_total += ms;
     ++runs;
   }
   double mean_ms = virtual_ms_total / runs;
@@ -167,8 +193,8 @@ void run_remote_delivery(benchmark::State& state, std::uint64_t bytes,
 
 void BM_RemoteUspaceToUspaceViaGateway(benchmark::State& state) {
   run_remote_delivery(state, static_cast<std::uint64_t>(state.range(0)),
-                      /*chunked=*/false, 1);
-  state.SetLabel("legacy whole-blob (FZJ->LRZ)");
+                      Path::kPicked, 4);
+  state.SetLabel("deliver_files, one file (FZJ->LRZ)");
 }
 BENCHMARK(BM_RemoteUspaceToUspaceViaGateway)
     ->Arg(64 << 10)
@@ -178,53 +204,88 @@ BENCHMARK(BM_RemoteUspaceToUspaceViaGateway)
 
 void BM_RemoteChunkedDeliver(benchmark::State& state) {
   run_remote_delivery(state, static_cast<std::uint64_t>(state.range(0)),
-                      /*chunked=*/true,
+                      Path::kBundle,
                       static_cast<std::size_t>(state.range(1)));
-  state.SetLabel("chunked x" + std::to_string(state.range(1)) +
+  state.SetLabel("one-file bundle x" + std::to_string(state.range(1)) +
                  " streams (FZJ->LRZ)");
 }
 BENCHMARK(BM_RemoteChunkedDeliver)
     ->ArgsProduct({{64 << 10, 1 << 20, 8 << 20, 64 << 20}, {1, 2, 4, 8}});
 
-void BM_RemoteFetchFile(benchmark::State& state) {
-  // The reverse direction: pulling a dependency file from a remote
-  // predecessor's Uspace. range(1): 0 = legacy whole-blob, else the
-  // chunked stream count.
+/// Below kWholeBlobLimit deliver_files sends one file as a single
+/// whole-blob kDeliverFile message instead of a one-file bundle. This
+/// series measures both legs at the default 4 rails on the same sizes;
+/// `bundle_over_whole_blob` > 1 means the whole-blob message wins.
+void BM_WholeBlobVsOneFileBundle(benchmark::State& state) {
   TwoSites env;
   std::uint64_t bytes = static_cast<std::uint64_t>(state.range(0));
-  bool chunked = state.range(1) != 0;
+  if (bytes >= server::UsiteServer::kWholeBlobLimit)
+    state.SkipWithError("size is not below kWholeBlobLimit");
+  if (!warm_up(env)) state.SkipWithError("peer link failed");
+  double whole_ms = 0, bundle_ms = 0;
+  int runs = 0;
+  for (auto _ : state) {
+    std::string tag = std::to_string(runs);
+    auto fresh = [&](std::uint64_t seed) {
+      return std::make_shared<const uspace::FileBlob>(
+          uspace::FileBlob::synthetic(bytes, seed));
+    };
+    double whole =
+        deliver_ms(env, Path::kPicked, {{"whole" + tag, fresh(100 + 2 * runs)}});
+    double bundle = deliver_ms(env, Path::kBundle,
+                               {{"bundle" + tag, fresh(101 + 2 * runs)}});
+    if (whole < 0 || bundle < 0) {
+      state.SkipWithError("delivery failed");
+      break;
+    }
+    whole_ms += whole;
+    bundle_ms += bundle;
+    ++runs;
+  }
+  if (runs == 0) return;
+  state.counters["whole_blob_virtual_ms"] = whole_ms / runs;
+  state.counters["bundle_virtual_ms"] = bundle_ms / runs;
+  state.counters["bundle_over_whole_blob"] = bundle_ms / whole_ms;
+  state.SetLabel("whole-blob vs one-file bundle x4 (FZJ->LRZ)");
+}
+BENCHMARK(BM_WholeBlobVsOneFileBundle)
+    ->Arg(64 << 10)
+    ->Arg(256 << 10)
+    ->Arg(1 << 20)
+    ->Arg(2 << 20)
+    ->Arg(3 << 20);
+
+void BM_RemoteFetchFile(benchmark::State& state) {
+  // The reverse direction: pulling a dependency file from a remote
+  // predecessor's Uspace as a bundle of one. range(1): stream count.
+  TwoSites env;
+  std::uint64_t bytes = static_cast<std::uint64_t>(state.range(0));
   (void)env.grid.site("LRZ")->njs().deliver_file(
       env.receiver_token, "big.out", uspace::FileBlob::synthetic(bytes, 4));
   njs::RemoteJobHandle handle{"LRZ", env.receiver_token};
   auto* juelich = env.grid.site("FZ-Juelich");
-  if (chunked) {
-    juelich->set_transfer_threshold(0);
-    juelich->set_transfer_streams(static_cast<std::size_t>(state.range(1)));
-  } else {
-    juelich->set_transfer_threshold(
-        std::numeric_limits<std::uint64_t>::max());
-  }
+  juelich->set_transfer_streams(static_cast<std::size_t>(state.range(1)));
 
-  bool warm = false;
-  juelich->fetch_file(handle, "big.out",
-                      [&](util::Result<uspace::FileBlob>) { warm = true; });
-  while (!warm && env.grid.engine().step()) {
-  }
+  auto fetch = [&] {
+    bool replied = false;
+    bool ok = false;
+    juelich->fetch_files(
+        handle, {"big.out"},
+        [&](util::Result<std::vector<uspace::FileBlob>> result) {
+          replied = true;
+          ok = result.ok();
+        });
+    while (!replied && env.grid.engine().step()) {
+    }
+    return ok;
+  };
+  (void)fetch();  // warm the rails
 
   double virtual_ms_total = 0;
   int runs = 0;
   for (auto _ : state) {
     sim::Time start = env.grid.engine().now();
-    bool done = false;
-    bool replied = false;
-    juelich->fetch_file(handle, "big.out",
-                        [&](util::Result<uspace::FileBlob> result) {
-                          replied = true;
-                          done = result.ok();
-                        });
-    while (!replied && env.grid.engine().step()) {
-    }
-    if (!done) state.SkipWithError("fetch failed");
+    if (!fetch()) state.SkipWithError("fetch failed");
     virtual_ms_total +=
         sim::to_seconds(env.grid.engine().now() - start) * 1e3;
     ++runs;
@@ -232,11 +293,10 @@ void BM_RemoteFetchFile(benchmark::State& state) {
   state.counters["virtual_ms"] = virtual_ms_total / runs;
   state.counters["virtual_MBps"] = static_cast<double>(bytes) / 1e6 /
                                    (virtual_ms_total / runs / 1e3);
-  state.SetLabel(chunked ? "fetch chunked x" + std::to_string(state.range(1))
-                         : "fetch legacy whole-blob");
+  state.SetLabel("fetch one-file bundle x" + std::to_string(state.range(1)));
 }
 BENCHMARK(BM_RemoteFetchFile)
-    ->ArgsProduct({{1 << 20, 8 << 20, 64 << 20}, {0, 4}});
+    ->ArgsProduct({{1 << 20, 8 << 20, 64 << 20}, {1, 4}});
 
 }  // namespace
 

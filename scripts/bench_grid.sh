@@ -19,8 +19,10 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 OUT="${2:-BENCH_grid.json}"
 FLAGS="${BENCH_FLAGS:-}"
+source "$(dirname "$0")/bench_context.sh"
 
 "$BUILD_DIR/bench/bench_grid" \
+  "$(bench_context "$BUILD_DIR")" \
   --benchmark_filter='BM_Grid' $FLAGS \
   --benchmark_out="$OUT" --benchmark_out_format=json
 

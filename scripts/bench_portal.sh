@@ -20,8 +20,10 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 OUT="${2:-BENCH_portal.json}"
 FLAGS="${BENCH_FLAGS:-}"
+source "$(dirname "$0")/bench_context.sh"
 
 "$BUILD_DIR/bench/bench_portal" \
+  "$(bench_context "$BUILD_DIR")" \
   --benchmark_filter='BM_(Session|TokenRequest|OneRun|Concurrent)' $FLAGS \
   --benchmark_out="$OUT" --benchmark_out_format=json
 

@@ -13,12 +13,14 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 OUT="${2:-BENCH_security.json}"
 FLAGS="${BENCH_FLAGS:-}"
+source "$(dirname "$0")/bench_context.sh"
+CONTEXT="$(bench_context "$BUILD_DIR")"
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
 run() { # run <binary> <filter> <out.json>
-  "$BUILD_DIR/bench/$1" --benchmark_filter="$2" $FLAGS \
+  "$BUILD_DIR/bench/$1" --benchmark_filter="$2" $FLAGS "$CONTEXT" \
     --benchmark_out="$tmpdir/$3" --benchmark_out_format=json
 }
 

@@ -8,9 +8,11 @@
 #                                     leg moved (headline: 0) and
 #                                     `speedup` the cold/warm ratio
 #   - BM_SmallFilesRestageColdVsWarm  the same comparison for a
-#                                     directory of 64 KiB files
-#   - BM_SmallFilesBundleVsPerFile    bundle transfer vs per-file chunked
-#                                     opens for a tree of 16 KiB files
+#                                     directory of 64 KiB files sent one
+#                                     file at a time (each one whole-blob
+#                                     message, so no wire dedup)
+#   - BM_SmallFilesBundleVsPerFile    one bundle vs N one-file deliveries
+#                                     for a tree of 16 KiB files
 #                                     (10^3 / 10^4); `speedup` is the
 #                                     per-file/bundle ratio, plus a
 #                                     dedup-warm restage leg
@@ -30,8 +32,10 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 OUT="${2:-BENCH_store.json}"
 FLAGS="${BENCH_FLAGS:-}"
+source "$(dirname "$0")/bench_context.sh"
 
 "$BUILD_DIR/bench/bench_store" \
+  "$(bench_context "$BUILD_DIR")" \
   --benchmark_filter='BM_(Dataset|SmallFiles|Intern|Spill)' $FLAGS \
   --benchmark_out="$OUT" --benchmark_out_format=json
 

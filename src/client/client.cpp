@@ -58,7 +58,6 @@ bool token_eligible(RequestKind kind) {
     case RequestKind::kQuery:
     case RequestKind::kList:
     case RequestKind::kControl:
-    case RequestKind::kFetchOutput:
     case RequestKind::kMonitorMetrics:
     case RequestKind::kMonitorTrace:
     case RequestKind::kJournalInspect:
@@ -359,16 +358,6 @@ void UnicoreClient::control(ajo::JobToken token,
                            });
 }
 
-void UnicoreClient::fetch_output_legacy(
-    ajo::JobToken token, const std::string& name,
-    std::function<void(Result<uspace::FileBlob>)> done) {
-  ++output_stats_.legacy;
-  ByteWriter payload;
-  payload.u64(token);
-  payload.str(name);
-  call<wire::FetchOutputCodec>(payload.take(), std::move(done));
-}
-
 void UnicoreClient::xfer_call(
     xfer::Op op, Bytes body,
     std::function<void(Result<Bytes>)> done) {
@@ -401,37 +390,14 @@ std::shared_ptr<xfer::ChunkTransport> UnicoreClient::transfer_transport() {
 void UnicoreClient::fetch_output(
     ajo::JobToken token, const std::string& name,
     std::function<void(Result<uspace::FileBlob>)> done) {
-  // Chunked retrieval needs a v2 channel on both ends; everything else
-  // (v1 server, chunking disabled) takes the legacy whole-blob request.
-  bool chunked = config_.transfer_streams > 0 && connected() &&
-                 channel_->feature_enabled(net::kFeatureChunkedXfer);
-  if (!chunked) {
-    fetch_output_legacy(token, name, std::move(done));
-    return;
-  }
-  ++output_stats_.chunked;
-  xfer::PullSpec spec;
-  spec.role = xfer::Role::kClientPull;
-  spec.token = token;
-  spec.name = name;
-  auto alive = alive_;
-  xfer_manager_.pull(
-      transfer_transport(), spec, config_.transfer_options,
-      [this, alive, token, name,
-       done = std::move(done)](Result<xfer::PullResult> result) mutable {
-        if (!result &&
-            result.error().code == ErrorCode::kFailedPrecondition &&
-            *alive) {
-          // Refused mid-flight (e.g. the Usite restarted into an old
-          // build): fall back to the whole-blob request.
-          fetch_output_legacy(token, name, std::move(done));
-          return;
-        }
-        if (!result)
-          done(result.error());
-        else
-          done(std::move(result.value().blob));
-      });
+  fetch_tree(token, {name},
+             [done = std::move(done)](
+                 Result<std::vector<uspace::FileBlob>> blobs) {
+               if (!blobs)
+                 done(blobs.error());
+               else
+                 done(std::move(blobs.value().front()));
+             });
 }
 
 void UnicoreClient::push_tree(
@@ -446,26 +412,6 @@ void UnicoreClient::push_tree(
     done(util::make_error(ErrorCode::kUnavailable, "not connected"));
     return;
   }
-  if (config_.transfer_streams == 0 ||
-      !channel_->feature_enabled(net::kFeatureChunkedXfer)) {
-    // v1 server (or chunking disabled): there is no client staging
-    // path at all — files travel inside the AJO instead.
-    done(util::make_error(ErrorCode::kFailedPrecondition,
-                          "client staging requires the chunked transfer "
-                          "channel feature"));
-    return;
-  }
-  if (!channel_->feature_enabled(net::kFeatureBundleXfer)) {
-    // Chunked but bundleless: one kClientPush transfer per file.
-    auto shared = std::make_shared<
-        std::vector<std::pair<std::string, uspace::FileBlob>>>(
-        std::move(files));
-    auto stats = std::make_shared<xfer::BundleStats>();
-    stats->started_at = engine_.now();
-    push_tree_singles(token, shared, 0, stats, std::move(done));
-    return;
-  }
-  ++output_stats_.bundled;
   xfer::BundlePushSpec spec;
   spec.source = "client:" + config_.user.certificate.subject.common_name;
   spec.token = token;
@@ -479,43 +425,6 @@ void UnicoreClient::push_tree(
                           config_.transfer_options, std::move(done));
 }
 
-void UnicoreClient::push_tree_singles(
-    ajo::JobToken token,
-    std::shared_ptr<std::vector<std::pair<std::string, uspace::FileBlob>>>
-        files,
-    std::size_t next, std::shared_ptr<xfer::BundleStats> stats,
-    std::function<void(Result<xfer::BundleStats>)> done) {
-  if (next >= files->size()) {
-    stats->finished_at = engine_.now();
-    done(*stats);
-    return;
-  }
-  xfer::PushSpec spec;
-  spec.source = "client:" + config_.user.certificate.subject.common_name;
-  spec.token = token;
-  spec.name = (*files)[next].first;
-  spec.role = xfer::Role::kClientPush;
-  auto blob =
-      std::make_shared<const uspace::FileBlob>((*files)[next].second);
-  xfer_manager_.push(
-      transfer_transport(), spec, std::move(blob), config_.transfer_options,
-      [this, token, files, next, stats,
-       done = std::move(done)](Result<xfer::TransferStats> r) mutable {
-        if (!r) {
-          done(r.error());
-          return;
-        }
-        ++stats->files;
-        stats->bytes += r.value().bytes;
-        stats->chunks += r.value().chunks;
-        stats->deduped += r.value().duplicates + r.value().deduped;
-        stats->retransmits += r.value().retransmits;
-        stats->resumes += r.value().resumes;
-        stats->streams = std::max(stats->streams, r.value().streams);
-        push_tree_singles(token, files, next + 1, stats, std::move(done));
-      });
-}
-
 void UnicoreClient::fetch_tree(
     ajo::JobToken token, std::vector<std::string> names,
     std::function<void(Result<std::vector<uspace::FileBlob>>)> done) {
@@ -523,62 +432,22 @@ void UnicoreClient::fetch_tree(
     done(std::vector<uspace::FileBlob>{});
     return;
   }
-  bool bundled = config_.transfer_streams > 0 && connected() &&
-                 channel_->feature_enabled(net::kFeatureChunkedXfer) &&
-                 channel_->feature_enabled(net::kFeatureBundleXfer);
-  if (!bundled) {
-    auto shared = std::make_shared<std::vector<std::string>>(std::move(names));
-    auto blobs = std::make_shared<std::vector<uspace::FileBlob>>();
-    blobs->reserve(shared->size());
-    fetch_tree_sequential(token, shared, blobs, std::move(done));
+  if (!connected()) {
+    done(util::make_error(ErrorCode::kUnavailable, "not connected"));
     return;
   }
-  ++output_stats_.bundled;
   xfer::BundlePullSpec spec;
   spec.role = xfer::Role::kClientPull;
   spec.token = token;
-  spec.names = names;
-  auto alive = alive_;
+  spec.names = std::move(names);
   xfer_manager_.pull_tree(
       transfer_transport(), spec, config_.transfer_options,
-      [this, alive, token, names = std::move(names),
-       done = std::move(done)](Result<xfer::BundlePullResult> result) mutable {
-        if (!result && *alive &&
-            result.error().code == ErrorCode::kFailedPrecondition) {
-          // Refused mid-flight (server restarted into a bundleless
-          // build): per-file retrieval.
-          auto shared =
-              std::make_shared<std::vector<std::string>>(std::move(names));
-          auto blobs = std::make_shared<std::vector<uspace::FileBlob>>();
-          blobs->reserve(shared->size());
-          fetch_tree_sequential(token, shared, blobs, std::move(done));
-          return;
-        }
+      [done = std::move(done)](Result<xfer::BundlePullResult> result) {
         if (!result)
           done(result.error());
         else
           done(std::move(result.value().blobs));
       });
-}
-
-void UnicoreClient::fetch_tree_sequential(
-    ajo::JobToken token, std::shared_ptr<std::vector<std::string>> names,
-    std::shared_ptr<std::vector<uspace::FileBlob>> blobs,
-    std::function<void(Result<std::vector<uspace::FileBlob>>)> done) {
-  if (blobs->size() >= names->size()) {
-    done(std::move(*blobs));
-    return;
-  }
-  fetch_output(token, (*names)[blobs->size()],
-               [this, token, names, blobs,
-                done = std::move(done)](Result<uspace::FileBlob> r) mutable {
-                 if (!r) {
-                   done(r.error());
-                   return;
-                 }
-                 blobs->push_back(std::move(r).value());
-                 fetch_tree_sequential(token, names, blobs, std::move(done));
-               });
 }
 
 void UnicoreClient::fetch_metrics(

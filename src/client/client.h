@@ -132,16 +132,6 @@ struct ControlCodec {
   static Reply decode(util::ByteReader&) { return {}; }
 };
 
-struct FetchOutputCodec {
-  using Reply = uspace::FileBlob;
-  static constexpr server::RequestKind kKind =
-      server::RequestKind::kFetchOutput;
-  static constexpr const char* kName = "output";
-  static Reply decode(util::ByteReader& r) {
-    return uspace::FileBlob::decode(r);
-  }
-};
-
 struct ResourcePagesCodec {
   using Reply = std::vector<resources::ResourcePage>;
   static constexpr server::RequestKind kKind =
@@ -308,11 +298,11 @@ class UnicoreClient {
     /// (see PROTOCOL.md); lower them to emulate a legacy client.
     std::uint8_t protocol_version = net::kProtocolVersion;
     std::uint64_t channel_features = net::kDefaultFeatures;
-    /// Streams for chunked output retrieval (stream 0 rides the main
-    /// channel; the rest are extra rails). 0 disables the chunked
-    /// engine and every fetch_output uses the whole-blob request.
+    /// Streams for chunked transfers: stream 0 rides the main channel,
+    /// the rest are extra rails. 0 (like 1) means the session channel
+    /// only, no extra rails.
     std::size_t transfer_streams = 4;
-    /// Sender-side tuning of chunked pulls (window, inline limit, ...).
+    /// Tuning of chunked transfers (chunk size, window, retry ladder).
     xfer::TransferOptions transfer_options;
   };
 
@@ -365,22 +355,22 @@ class UnicoreClient {
   void list(std::function<void(util::Result<std::vector<JobEntry>>)> done);
   void control(ajo::JobToken token, ajo::ControlService::Command command,
                std::function<void(util::Status)> done);
+  /// Fetches one output file through the chunked engine as a bundle of
+  /// one; a file of at most xfer::kPullInlineLimit bytes comes back in
+  /// the open reply (one round trip).
   void fetch_output(ajo::JobToken token, const std::string& name,
                     std::function<void(util::Result<uspace::FileBlob>)> done);
 
   // --- bundle staging (docs/DATA.md §3) ---------------------------------
-  /// Stages a whole file tree into job `token`'s Uspace. With the
-  /// negotiated kFeatureBundleXfer the tree moves as bundles (one
-  /// manifest round trip per xfer::kMaxBundleFiles slice); with only
-  /// kFeatureChunkedXfer it degrades to one chunked push per file; a v1
-  /// server fails kFailedPrecondition (stage files inside the AJO
-  /// instead).
+  /// Stages a whole file tree into job `token`'s Uspace as bundles (one
+  /// manifest round trip per xfer::kMaxBundleFiles slice). The chunked
+  /// transfer operations need the negotiated kFeatureChunkedXfer and
+  /// kFeatureBundleXfer; a server without them fails kFailedPrecondition
+  /// (stage files inside the AJO instead).
   void push_tree(ajo::JobToken token,
                  std::vector<std::pair<std::string, uspace::FileBlob>> files,
                  std::function<void(util::Result<xfer::BundleStats>)> done);
-  /// Fetches many outputs of job `token` in request order — bundled
-  /// when the server negotiated the feature, sequential fetch_output
-  /// otherwise.
+  /// Fetches many outputs of job `token` in request order, as bundles.
   void fetch_tree(
       ajo::JobToken token, std::vector<std::string> names,
       std::function<void(util::Result<std::vector<uspace::FileBlob>>)> done);
@@ -471,9 +461,6 @@ class UnicoreClient {
   // --- diagnostics ---------------------------------------------------------
   std::uint64_t requests_sent() const { return requests_sent_; }
   std::uint64_t requests_failed() const { return requests_failed_; }
-  /// Which wire path each fetch_output took: the chunked engine, or the
-  /// internal legacy whole-blob fallback (v1 server / chunking off).
-  const server::TransferStats& output_stats() const { return output_stats_; }
   /// True when the current channel was established by session
   /// resumption (a reconnect that skipped the public-key handshake).
   bool session_resumed() const {
@@ -514,23 +501,6 @@ class UnicoreClient {
   void handle_message(util::Bytes&& wire);
   void fail_all_pending(const util::Error& error);
   std::shared_ptr<xfer::ChunkTransport> transfer_transport();
-  void fetch_output_legacy(
-      ajo::JobToken token, const std::string& name,
-      std::function<void(util::Result<uspace::FileBlob>)> done);
-  /// push_tree fallback for chunked-but-bundleless servers: one
-  /// kClientPush transfer per file, sequential.
-  void push_tree_singles(
-      ajo::JobToken token,
-      std::shared_ptr<std::vector<std::pair<std::string, uspace::FileBlob>>>
-          files,
-      std::size_t next, std::shared_ptr<xfer::BundleStats> stats,
-      std::function<void(util::Result<xfer::BundleStats>)> done);
-  /// fetch_tree fallback: sequential fetch_output (itself chunked or
-  /// legacy per file).
-  void fetch_tree_sequential(
-      ajo::JobToken token, std::shared_ptr<std::vector<std::string>> names,
-      std::shared_ptr<std::vector<uspace::FileBlob>> blobs,
-      std::function<void(util::Result<std::vector<uspace::FileBlob>>)> done);
 
   sim::Engine& engine_;
   net::Network& network_;
@@ -555,7 +525,6 @@ class UnicoreClient {
   /// Guards the main-channel leg of in-flight transfers against the
   /// client being destroyed while the engine still runs.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-  server::TransferStats output_stats_;
   /// The adopted portal session token; empty = certificate auth.
   util::Bytes session_token_;
 };

@@ -19,7 +19,9 @@ Digest synthetic_chunk_digest(const Digest& file_checksum,
 std::uint64_t chunk_count(std::uint64_t size, std::uint32_t chunk_bytes) {
   if (chunk_bytes == 0) return 0;
   if (size == 0) return 1;
-  return (size + chunk_bytes - 1) / chunk_bytes;
+  // Not (size + chunk_bytes - 1) / chunk_bytes: that wraps for sizes
+  // near 2^64, which a manifest off the wire may declare.
+  return size / chunk_bytes + (size % chunk_bytes != 0 ? 1 : 0);
 }
 
 std::uint32_t chunk_length(std::uint64_t size, std::uint32_t chunk_bytes,

@@ -53,9 +53,10 @@ constexpr std::uint8_t kProtocolVersion = 2;
 /// Feature bits exchanged during the hello negotiation. The effective
 /// feature set of a channel is the AND of what both sides advertise.
 constexpr std::uint64_t kFeatureJournalInspect = 1ull << 0;
-/// Peer understands the chunked transfer protocol (kXferOpen /
-/// kXferChunk / kXferClose). Without it the sender falls back to the
-/// legacy whole-blob kDeliverFile / kFetchFile requests.
+/// Peer understands the chunked transfer protocol (kXferBundleOpen /
+/// kXferChunk / kXferBundleClose) — together with kFeatureBundleXfer,
+/// which the server requires as well. Without both, every transfer
+/// request is refused with kFailedPrecondition; no sender falls back.
 constexpr std::uint64_t kFeatureChunkedXfer = 1ull << 1;
 /// Peer supports session resumption (ticket in the ServerFinished tail,
 /// ClientHelloResumed / ServerHelloResumed / HelloRetry messages).
@@ -72,11 +73,10 @@ constexpr std::uint64_t kFeatureBatchRecords = 1ull << 3;
 /// request kinds are refused and clients stay on per-request
 /// certificate authentication.
 constexpr std::uint64_t kFeaturePortal = 1ull << 4;
-/// Peer understands bundle transfers (kXferBundleOpen /
-/// kXferBundleClose): one open carries the manifests of many files,
-/// whose chunks interleave over the ordinary kXferChunk frames tagged
-/// with an in-bundle file index. Requires kFeatureChunkedXfer. Without
-/// it the sender falls back to one transfer per file.
+/// Peer understands bundle transfers: one open carries the manifests of
+/// many files (a single file is a bundle of one), whose chunks
+/// interleave over kXferChunk frames tagged with an in-bundle file
+/// index. Required, with kFeatureChunkedXfer, by every transfer request.
 constexpr std::uint64_t kFeatureBundleXfer = 1ull << 5;
 constexpr std::uint64_t kDefaultFeatures =
     kFeatureJournalInspect | kFeatureChunkedXfer | kFeatureResumption |

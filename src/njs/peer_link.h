@@ -62,99 +62,30 @@ class PeerLink {
                            on_accepted,
                        std::function<void(ajo::Outcome)> on_final) = 0;
 
-  /// Delivers a file into the Uspace of a remote job ("file transfer
+  /// Delivers files into the Uspace of a remote job ("file transfer
   /// between Uspaces ... through NJS–NJS communication via the
-  /// gateway", §5.6). The blob is shared, not copied — the transfer
-  /// engine holds it across many chunk sends without duplicating it.
-  virtual void deliver_file(const RemoteJobHandle& target,
-                            const std::string& uspace_name,
-                            std::shared_ptr<const uspace::FileBlob> blob,
-                            std::function<void(util::Status)> done) = 0;
-
-  /// Fetches a file from the Uspace of a remote job (dependency files
-  /// produced by a remote predecessor).
-  virtual void fetch_file(const RemoteJobHandle& source,
-                          const std::string& uspace_name,
-                          std::function<void(util::Result<uspace::FileBlob>)>
-                              done) = 0;
-
-  /// Delivers many files into one remote Uspace. The default walks
-  /// deliver_file sequentially; links that negotiated the bundle
-  /// feature override this with one manifest round trip for the whole
-  /// batch (src/xfer bundle mode). Calling with an empty vector
-  /// succeeds immediately.
+  /// gateway", §5.6). A single file is a vector of one. The blobs are
+  /// shared, not copied — the transfer engine holds them across many
+  /// chunk sends without duplicating them. An empty vector succeeds
+  /// immediately.
   virtual void deliver_files(
       const RemoteJobHandle& target,
       std::vector<std::pair<std::string,
                             std::shared_ptr<const uspace::FileBlob>>>
           files,
-      std::function<void(util::Status)> done) {
-    deliver_files_sequential(target, std::move(files), 0, std::move(done));
-  }
+      std::function<void(util::Status)> done) = 0;
 
-  /// Fetches many files from one remote Uspace, in request order. The
-  /// default walks fetch_file sequentially; bundle-capable links
-  /// override.
+  /// Fetches files from the Uspace of a remote job, in request order
+  /// (dependency files produced by a remote predecessor).
   virtual void fetch_files(
       const RemoteJobHandle& source, std::vector<std::string> names,
-      std::function<void(util::Result<std::vector<uspace::FileBlob>>)> done) {
-    auto blobs = std::make_shared<std::vector<uspace::FileBlob>>();
-    blobs->reserve(names.size());
-    fetch_files_sequential(source, std::move(names), blobs, std::move(done));
-  }
+      std::function<void(util::Result<std::vector<uspace::FileBlob>>)>
+          done) = 0;
 
   /// Forwards a control command (abort/hold/release/delete).
   virtual void control(const RemoteJobHandle& target,
                        ajo::ControlService::Command command,
                        std::function<void(util::Status)> done) = 0;
-
- private:
-  void deliver_files_sequential(
-      const RemoteJobHandle& target,
-      std::vector<std::pair<std::string,
-                            std::shared_ptr<const uspace::FileBlob>>>
-          files,
-      std::size_t next, std::function<void(util::Status)> done) {
-    if (next >= files.size()) {
-      done(util::Status());
-      return;
-    }
-    auto name = files[next].first;
-    auto blob = files[next].second;
-    deliver_file(target, name, std::move(blob),
-                 [this, target, files = std::move(files), next,
-                  done = std::move(done)](util::Status status) mutable {
-                   if (!status.ok()) {
-                     done(std::move(status));
-                     return;
-                   }
-                   deliver_files_sequential(target, std::move(files), next + 1,
-                                            std::move(done));
-                 });
-  }
-
-  void fetch_files_sequential(
-      const RemoteJobHandle& source, std::vector<std::string> names,
-      std::shared_ptr<std::vector<uspace::FileBlob>> blobs,
-      std::function<void(util::Result<std::vector<uspace::FileBlob>>)> done) {
-    if (blobs->size() >= names.size()) {
-      done(std::move(*blobs));
-      return;
-    }
-    std::string name = names[blobs->size()];
-    fetch_file(source, name,
-               [this, source, names = std::move(names), blobs,
-                done = std::move(done)](
-                   util::Result<uspace::FileBlob> blob) mutable {
-                 if (!blob.ok()) {
-                   done(blob.error());
-                   return;
-                 }
-                 blobs->push_back(std::move(blob).value());
-                 fetch_files_sequential(source, std::move(names), blobs,
-                                        std::move(done));
-               });
-  }
 };
 
 }  // namespace unicore::njs

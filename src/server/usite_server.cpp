@@ -1,6 +1,5 @@
 #include "server/usite_server.h"
 
-#include <limits>
 
 #include "ajo/codec.h"
 #include "util/log.h"
@@ -22,10 +21,6 @@ enum PipeMessage : std::uint8_t {
   kPipeReply = 2,
   kPipeNotify = 3,
 };
-
-util::Error transport_error(const std::string& what) {
-  return util::make_error(ErrorCode::kUnavailable, what);
-}
 
 }  // namespace
 
@@ -552,34 +547,22 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
       gateway::AuthenticatedUser anonymous;
       return forward(pack_njs_request(kind, request_id, anonymous, {}));
     }
-    case RequestKind::kXferOpen:
     case RequestKind::kXferChunk:
-    case RequestKind::kXferClose:
     case RequestKind::kXferBundleOpen:
     case RequestKind::kXferBundleClose: {
-      // Negotiated at the hello exchange like kJournalInspect: a v1
-      // channel never agreed to the chunked protocol, so senders fall
-      // back to kDeliverFile / kFetchFile on this error.
-      if (!session->channel->feature_enabled(net::kFeatureChunkedXfer))
-        return reply_error(
-            request_id,
-            util::make_error(ErrorCode::kFailedPrecondition,
-                             "chunked transfer requires the v2 channel "
-                             "feature (peer negotiated v" +
-                                 std::to_string(
-                                     session->channel->negotiated_version()) +
-                                 ")"));
-      // Bundles are a further negotiation on top of chunked transfer:
-      // a chunked-but-bundleless peer gets the same error shape, and
-      // senders fall back to one open per file.
-      if ((kind == RequestKind::kXferBundleOpen ||
-           kind == RequestKind::kXferBundleClose) &&
+      // Negotiated at the hello exchange like kJournalInspect: a channel
+      // that did not agree to both transfer features never sees the
+      // protocol, and no sender falls back to another path.
+      if (!session->channel->feature_enabled(net::kFeatureChunkedXfer) ||
           !session->channel->feature_enabled(net::kFeatureBundleXfer))
         return reply_error(
             request_id,
             util::make_error(ErrorCode::kFailedPrecondition,
-                             "bundle transfer requires the bundle channel "
-                             "feature"));
+                             "chunked transfer requires the chunked and "
+                             "bundle channel features (peer negotiated v" +
+                                 std::to_string(
+                                     session->channel->negotiated_version()) +
+                                 ")"));
       // The leading Role byte picks the authentication path: pushes and
       // peer pulls are NJS–NJS (server certificate), client pulls and
       // client pushes are JMC traffic (user certificate + ownership
@@ -826,9 +809,7 @@ Bytes UsiteServer::njs_execute(std::uint64_t session_id, ByteReader& packed,
         out.u64(retries);
         return make_ok_reply(request_id, out.bytes());
       }
-      case RequestKind::kXferOpen:
       case RequestKind::kXferChunk:
-      case RequestKind::kXferClose:
       case RequestKind::kXferBundleOpen:
       case RequestKind::kXferBundleClose: {
         bool server_peer = packed.u8() != 0;
@@ -839,19 +820,12 @@ Bytes UsiteServer::njs_execute(std::uint64_t session_id, ByteReader& packed,
         // which is strided by the service that minted it; an id from a
         // crashed replica's table answers kNotFound and the sender
         // re-opens by durable key (landing on the adopter).
-        bool is_open = kind == RequestKind::kXferOpen ||
-                       kind == RequestKind::kXferBundleOpen;
         std::size_t target = 0;
         {
           ByteReader peek = packed;  // routing must not consume the body
-          if (is_open) {
-            JobToken token;
-            if (xfer::role_is_push(role)) {
-              peek.blob();  // transfer key (single-file or bundle)
-              token = peek.u64();
-            } else {
-              token = peek.u64();
-            }
+          if (kind == RequestKind::kXferBundleOpen) {
+            if (xfer::role_is_push(role)) peek.blob();  // bundle key
+            JobToken token = peek.u64();
             auto owner = njs_cluster_.owner_of(token);
             if (!owner) return replica_down(token);
             target = *owner;
@@ -870,14 +844,8 @@ Bytes UsiteServer::njs_execute(std::uint64_t session_id, ByteReader& packed,
         xfer::Service& service = *xfer_services_[target];
         Result<Bytes> reply = util::make_error(ErrorCode::kInternal, "");
         switch (kind) {
-          case RequestKind::kXferOpen:
-            reply = service.open(user.dn, server_peer, role, packed);
-            break;
           case RequestKind::kXferChunk:
             reply = service.chunk(user.dn, server_peer, role, packed);
-            break;
-          case RequestKind::kXferClose:
-            reply = service.close(user.dn, server_peer, role, packed);
             break;
           case RequestKind::kXferBundleOpen:
             reply = service.bundle_open(user.dn, server_peer, role, packed);
@@ -1274,18 +1242,7 @@ void UsiteServer::consign(
       });
 }
 
-// ---- file movement: chunked engine with legacy fallback --------------------
-
-void UsiteServer::with_peer_features(
-    const std::string& usite,
-    std::function<void(Result<std::uint64_t>)> ready) {
-  if (!peers_.count(usite)) {
-    ready(util::make_error(ErrorCode::kNotFound,
-                           "unknown peer usite: " + usite));
-    return;
-  }
-  peer_connection(usite).pool->with_features(std::move(ready));
-}
+// ---- file movement: the chunked engine, one bundle per batch --------------
 
 std::shared_ptr<XferRails> UsiteServer::peer_rails(const std::string& usite) {
   auto it = peer_rails_.find(usite);
@@ -1308,153 +1265,6 @@ std::shared_ptr<XferRails> UsiteServer::peer_rails(const std::string& usite) {
   return rails;
 }
 
-void UsiteServer::push_file_chunked(
-    const njs::RemoteJobHandle& target, const std::string& uspace_name,
-    std::shared_ptr<const uspace::FileBlob> blob,
-    std::function<void(Status)> done) {
-  ++transfer_stats_.chunked;
-  xfer::PushSpec spec;
-  spec.source = config_.name;
-  spec.token = target.token;
-  spec.name = uspace_name;
-  xfer_manager_.push(peer_rails(target.usite), spec, std::move(blob),
-                     transfer_options_,
-                     [done = std::move(done)](Result<xfer::TransferStats> r) {
-                       if (!r)
-                         done(r.error());
-                       else
-                         done(Status::ok_status());
-                     });
-}
-
-void UsiteServer::pull_file_chunked(
-    const njs::RemoteJobHandle& source, const std::string& uspace_name,
-    std::function<void(Result<uspace::FileBlob>)> done) {
-  ++transfer_stats_.chunked;
-  xfer::PullSpec spec;
-  spec.role = xfer::Role::kPeerPull;
-  spec.token = source.token;
-  spec.name = uspace_name;
-  spec.store = chunk_store_;  // open-reply manifest dedup on the pull path
-  xfer_manager_.pull(peer_rails(source.usite), spec, transfer_options_,
-                     [done = std::move(done)](Result<xfer::PullResult> r) {
-                       if (!r)
-                         done(r.error());
-                       else
-                         done(std::move(r.value().blob));
-                     });
-}
-
-void UsiteServer::deliver_file(const njs::RemoteJobHandle& target,
-                               const std::string& uspace_name,
-                               std::shared_ptr<const uspace::FileBlob> blob,
-                               std::function<void(Status)> done) {
-  if (blob == nullptr) {
-    done(util::make_error(ErrorCode::kInvalidArgument,
-                          "deliver_file: null blob"));
-    return;
-  }
-  auto done_ptr =
-      std::make_shared<std::function<void(Status)>>(std::move(done));
-  auto legacy = [this, target, uspace_name, done_ptr](
-                    std::shared_ptr<const uspace::FileBlob> blob) {
-    ++transfer_stats_.legacy;
-    ByteWriter payload;
-    payload.u64(target.token);
-    payload.str(uspace_name);
-    blob->encode(payload);
-    peer_call(target.usite, RequestKind::kDeliverFile, payload.take(), 1,
-              [done_ptr](Result<Bytes> reply) {
-                if (!reply)
-                  (*done_ptr)(reply.error());
-                else
-                  (*done_ptr)(Status::ok_status());
-              });
-  };
-  if (blob->size() < transfer_threshold_) {
-    legacy(std::move(blob));
-    return;
-  }
-  with_peer_features(
-      target.usite,
-      [this, target, uspace_name, blob = std::move(blob), done_ptr,
-       legacy](Result<std::uint64_t> features) mutable {
-        if (features &&
-            (features.value() & net::kFeatureChunkedXfer) != 0) {
-          push_file_chunked(
-              target, uspace_name, blob,
-              [done_ptr, legacy, blob](Status status) mutable {
-                // The chunked protocol got refused mid-flight (e.g. the
-                // peer restarted into an old build): repeat through the
-                // legacy whole-blob request once.
-                if (!status.ok() &&
-                    status.error().code == ErrorCode::kFailedPrecondition)
-                  legacy(std::move(blob));
-                else
-                  (*done_ptr)(status);
-              });
-          return;
-        }
-        // v1 peer — or the feature probe itself failed, in which case
-        // the legacy path's own retry ladder takes over.
-        legacy(std::move(blob));
-      });
-}
-
-void UsiteServer::fetch_file(
-    const njs::RemoteJobHandle& source, const std::string& uspace_name,
-    std::function<void(Result<uspace::FileBlob>)> done) {
-  auto legacy = [this, source, uspace_name](
-                    std::function<void(Result<uspace::FileBlob>)> done) {
-    ++transfer_stats_.legacy;
-    ByteWriter payload;
-    payload.u64(source.token);
-    payload.str(uspace_name);
-    peer_call(source.usite, RequestKind::kFetchFile, payload.take(), 1,
-              [done = std::move(done)](Result<Bytes> reply) {
-                if (!reply) {
-                  done(reply.error());
-                  return;
-                }
-                try {
-                  ByteReader reader{reply.value()};
-                  done(uspace::FileBlob::decode(reader));
-                } catch (const std::out_of_range&) {
-                  done(util::make_error(ErrorCode::kInvalidArgument,
-                                        "malformed file reply"));
-                }
-              });
-  };
-  // Pull size is unknown up front, so every fetch from a chunked peer
-  // goes through the engine; its inline-open fast path keeps small
-  // files at one round trip.
-  if (transfer_threshold_ == std::numeric_limits<std::uint64_t>::max()) {
-    legacy(std::move(done));
-    return;
-  }
-  with_peer_features(
-      source.usite,
-      [this, source, uspace_name, done = std::move(done),
-       legacy = std::move(legacy)](Result<std::uint64_t> features) mutable {
-        if (features &&
-            (features.value() & net::kFeatureChunkedXfer) != 0) {
-          pull_file_chunked(
-              source, uspace_name,
-              [done = std::move(done),
-               legacy](Result<uspace::FileBlob> result) mutable {
-                // Chunked pull refused mid-flight: whole-blob fallback.
-                if (!result && result.error().code ==
-                                   ErrorCode::kFailedPrecondition)
-                  legacy(std::move(done));
-                else
-                  done(std::move(result));
-              });
-          return;
-        }
-        legacy(std::move(done));
-      });
-}
-
 void UsiteServer::deliver_files(
     const njs::RemoteJobHandle& target,
     std::vector<std::pair<std::string,
@@ -1472,46 +1282,41 @@ void UsiteServer::deliver_files(
       return;
     }
   }
-  with_peer_features(
-      target.usite,
-      [this, target, files = std::move(files),
-       done = std::move(done)](Result<std::uint64_t> features) mutable {
-        constexpr std::uint64_t kBundleBits =
-            net::kFeatureChunkedXfer | net::kFeatureBundleXfer;
-        if (!features || (features.value() & kBundleBits) != kBundleBits) {
-          // v1 or bundleless peer: the PeerLink default walks the batch
-          // one deliver_file at a time (each still picking chunked vs
-          // legacy per file).
-          njs::PeerLink::deliver_files(target, std::move(files),
-                                       std::move(done));
-          return;
-        }
-        ++transfer_stats_.bundled;
-        xfer::BundlePushSpec spec;
-        spec.source = config_.name;
-        spec.token = target.token;
-        std::vector<xfer::BundleFile> bundle;
-        bundle.reserve(files.size());
-        for (const auto& [name, blob] : files)
-          bundle.push_back({name, blob});
-        xfer_manager_.push_tree(
-            peer_rails(target.usite), spec, std::move(bundle),
-            transfer_options_,
-            [this, target, files = std::move(files), done = std::move(done)](
-                Result<xfer::BundleStats> r) mutable {
-              // Bundle refused mid-flight (peer restarted into a
-              // bundleless build): repeat through per-file delivery.
-              if (!r && r.error().code == ErrorCode::kFailedPrecondition) {
-                njs::PeerLink::deliver_files(target, std::move(files),
-                                             std::move(done));
-                return;
-              }
-              if (!r)
-                done(r.error());
-              else
-                done(Status::ok_status());
-            });
-      });
+  if (!peers_.count(target.usite)) {
+    done(util::make_error(ErrorCode::kNotFound,
+                          "unknown peer usite: " + target.usite));
+    return;
+  }
+  if (files.size() == 1 && files[0].second->size() < kWholeBlobLimit) {
+    ++transfer_stats_.whole_blob;
+    ByteWriter payload;
+    payload.u64(target.token);
+    payload.str(files[0].first);
+    files[0].second->encode(payload);
+    peer_call(target.usite, RequestKind::kDeliverFile, payload.take(), 1,
+              [done = std::move(done)](Result<Bytes> reply) {
+                if (!reply)
+                  done(reply.error());
+                else
+                  done(Status::ok_status());
+              });
+    return;
+  }
+  ++transfer_stats_.bundled;
+  xfer::BundlePushSpec spec;
+  spec.source = config_.name;
+  spec.token = target.token;
+  std::vector<xfer::BundleFile> bundle;
+  bundle.reserve(files.size());
+  for (auto& [name, blob] : files) bundle.push_back({name, std::move(blob)});
+  xfer_manager_.push_tree(peer_rails(target.usite), spec, std::move(bundle),
+                          transfer_options_,
+                          [done = std::move(done)](Result<xfer::BundleStats> r) {
+                            if (!r)
+                              done(r.error());
+                            else
+                              done(Status::ok_status());
+                          });
 }
 
 void UsiteServer::fetch_files(
@@ -1521,42 +1326,24 @@ void UsiteServer::fetch_files(
     done(std::vector<uspace::FileBlob>{});
     return;
   }
-  if (transfer_threshold_ == std::numeric_limits<std::uint64_t>::max()) {
-    // The chunked engine is disabled outright: per-file legacy requests.
-    njs::PeerLink::fetch_files(source, std::move(names), std::move(done));
+  if (!peers_.count(source.usite)) {
+    done(util::make_error(ErrorCode::kNotFound,
+                          "unknown peer usite: " + source.usite));
     return;
   }
-  with_peer_features(
-      source.usite,
-      [this, source, names = std::move(names),
-       done = std::move(done)](Result<std::uint64_t> features) mutable {
-        constexpr std::uint64_t kBundleBits =
-            net::kFeatureChunkedXfer | net::kFeatureBundleXfer;
-        if (!features || (features.value() & kBundleBits) != kBundleBits) {
-          njs::PeerLink::fetch_files(source, std::move(names),
-                                     std::move(done));
-          return;
-        }
-        ++transfer_stats_.bundled;
-        xfer::BundlePullSpec spec;
-        spec.role = xfer::Role::kPeerPull;
-        spec.token = source.token;
-        spec.names = names;
-        spec.store = chunk_store_;
-        xfer_manager_.pull_tree(
-            peer_rails(source.usite), spec, transfer_options_,
-            [this, source, names = std::move(names), done = std::move(done)](
-                Result<xfer::BundlePullResult> r) mutable {
-              if (!r && r.error().code == ErrorCode::kFailedPrecondition) {
-                njs::PeerLink::fetch_files(source, std::move(names),
-                                           std::move(done));
-                return;
-              }
-              if (!r)
-                done(r.error());
-              else
-                done(std::move(r.value().blobs));
-            });
+  ++transfer_stats_.bundled;
+  xfer::BundlePullSpec spec;
+  spec.role = xfer::Role::kPeerPull;
+  spec.token = source.token;
+  spec.names = std::move(names);
+  spec.store = chunk_store_;  // open-reply manifest dedup on the pull path
+  xfer_manager_.pull_tree(
+      peer_rails(source.usite), spec, transfer_options_,
+      [done = std::move(done)](Result<xfer::BundlePullResult> r) {
+        if (!r)
+          done(r.error());
+        else
+          done(std::move(r.value().blobs));
       });
 }
 

@@ -145,19 +145,11 @@ class UsiteServer : public njs::PeerLink {
                std::function<void(util::Result<njs::RemoteJobHandle>)>
                    on_accepted,
                std::function<void(ajo::Outcome)> on_final) override;
-  void deliver_file(const njs::RemoteJobHandle& target,
-                    const std::string& uspace_name,
-                    std::shared_ptr<const uspace::FileBlob> blob,
-                    std::function<void(util::Status)> done) override;
-  void fetch_file(const njs::RemoteJobHandle& source,
-                  const std::string& uspace_name,
-                  std::function<void(util::Result<uspace::FileBlob>)> done)
-      override;
-  /// Batch staging: one bundle manifest round trip for the whole set
-  /// when the peer negotiated kFeatureBundleXfer; otherwise the
-  /// PeerLink default (one transfer per file) takes over. A mid-flight
-  /// kFailedPrecondition (peer restarted into a bundleless build) also
-  /// falls back per file.
+  /// Moves the files as bundles through the chunked engine: one manifest
+  /// round trip per xfer::kMaxBundleFiles slice. A single file under
+  /// kWholeBlobLimit travels as one whole-blob kDeliverFile message
+  /// instead (bench_transfer, EXPERIMENTS.md C5b). A peer without the
+  /// transfer features fails kFailedPrecondition; nothing falls back.
   void deliver_files(
       const njs::RemoteJobHandle& target,
       std::vector<std::pair<std::string,
@@ -218,15 +210,10 @@ class UsiteServer : public njs::PeerLink {
   const xfer::TransferOptions& transfer_options() const {
     return transfer_options_;
   }
-  /// Files of at least this many bytes move through the chunked engine
-  /// when the peer negotiated kFeatureChunkedXfer; smaller files — and
-  /// every file toward a v1 peer — use the legacy whole-blob requests.
-  /// UINT64_MAX disables the engine outright (pulls included), which is
-  /// how benches measure the legacy baseline.
-  void set_transfer_threshold(std::uint64_t bytes) {
-    transfer_threshold_ = bytes;
-  }
-  std::uint64_t transfer_threshold() const { return transfer_threshold_; }
+  /// A single pushed file below this size is cheaper as one whole-blob
+  /// kDeliverFile message than as a one-file bundle (open, chunk, and
+  /// close round trips); see EXPERIMENTS.md C5b.
+  static constexpr std::uint64_t kWholeBlobLimit = 4ull * 1024 * 1024;
   /// Parallel secure channels per peer transfer ("rails").
   void set_transfer_streams(std::size_t streams) {
     transfer_streams_ = streams == 0 ? 1 : streams;
@@ -242,9 +229,9 @@ class UsiteServer : public njs::PeerLink {
 
   /// Feature bits this server advertises in the secure-channel
   /// handshake (both its listener and its outbound peer channels).
-  /// Clearing net::kFeatureChunkedXfer emulates a v1 deployment: every
-  /// transfer toward or from this site falls back to whole-blob
-  /// requests. Must be set before channels are established.
+  /// Clearing net::kFeatureChunkedXfer or net::kFeatureBundleXfer
+  /// emulates an old deployment that refuses every chunked transfer.
+  /// Must be set before channels are established.
   void set_advertised_features(std::uint64_t features) {
     advertised_features_ = features;
   }
@@ -256,13 +243,16 @@ class UsiteServer : public njs::PeerLink {
     return *xfer_services_[index];
   }
   xfer::TransferManager& transfer_manager() { return xfer_manager_; }
+  /// The rails toward peer `usite`'s gateway (created lazily, reused
+  /// across transfers to the same Usite). With transfer_manager() this
+  /// drives the engine directly, as deliver_files does.
+  std::shared_ptr<XferRails> peer_rails(const std::string& usite);
   /// The site's content-addressed chunk store (shared by the NJS and
   /// the transfer receiver). Configure spill/budget through it.
   const std::shared_ptr<store::ChunkStore>& chunk_store() {
     return chunk_store_;
   }
-  /// Which path outbound transfers took: chunked engine, or the legacy
-  /// whole-blob fallback (v1 peer / sub-threshold size).
+  /// Which path outbound peer deliveries and fetches took.
   const TransferStats& transfer_stats() const { return transfer_stats_; }
 
  private:
@@ -321,22 +311,6 @@ class UsiteServer : public njs::PeerLink {
                  util::Bytes payload, int attempt,
                  std::function<void(util::Result<util::Bytes>)> on_reply);
 
-  // Chunked transfer plumbing.
-  /// Calls `ready` with the peer channel's negotiated feature set once
-  /// its handshake settles (immediately when already established).
-  void with_peer_features(
-      const std::string& usite,
-      std::function<void(util::Result<std::uint64_t>)> ready);
-  /// The rail bundle toward a peer's gateway (created lazily, reused
-  /// across transfers to the same Usite).
-  std::shared_ptr<XferRails> peer_rails(const std::string& usite);
-  void push_file_chunked(const njs::RemoteJobHandle& target,
-                         const std::string& uspace_name,
-                         std::shared_ptr<const uspace::FileBlob> blob,
-                         std::function<void(util::Status)> done);
-  void pull_file_chunked(
-      const njs::RemoteJobHandle& source, const std::string& uspace_name,
-      std::function<void(util::Result<uspace::FileBlob>)> done);
 
   sim::Engine& engine_;
   net::Network& network_;
@@ -363,7 +337,6 @@ class UsiteServer : public njs::PeerLink {
   std::vector<std::unique_ptr<xfer::Service>> xfer_services_;
   std::shared_ptr<store::ChunkStore> chunk_store_;
   xfer::TransferOptions transfer_options_;
-  std::uint64_t transfer_threshold_ = 4ull * 1024 * 1024;
   std::size_t transfer_streams_ = 4;
   std::map<std::string, std::shared_ptr<XferRails>> peer_rails_;
   TransferStats transfer_stats_;

@@ -13,13 +13,11 @@ using util::Result;
 
 RequestKind xfer_request_kind(xfer::Op op) {
   switch (op) {
-    case xfer::Op::kOpen: return RequestKind::kXferOpen;
     case xfer::Op::kChunk: return RequestKind::kXferChunk;
-    case xfer::Op::kClose: return RequestKind::kXferClose;
     case xfer::Op::kBundleOpen: return RequestKind::kXferBundleOpen;
     case xfer::Op::kBundleClose: return RequestKind::kXferBundleClose;
   }
-  return RequestKind::kXferOpen;
+  return RequestKind::kXferChunk;
 }
 
 std::shared_ptr<XferRails> XferRails::create(sim::Engine& engine,
@@ -55,7 +53,8 @@ XferRails::XferRails(sim::Engine& engine, net::Network& network,
   pool_config.channel.features = config_.features;
   pool_config.channel.session_cache = config_.session_cache;
   pool_config.channel.record_pool = config_.record_pool;
-  pool_config.required_features = net::kFeatureChunkedXfer;
+  pool_config.required_features =
+      net::kFeatureChunkedXfer | net::kFeatureBundleXfer;
   pool_ = net::ChannelPool::create(engine, network, rng,
                                    std::move(pool_config));
 }

@@ -1,12 +1,12 @@
 // XferRails — the server-layer binding of xfer::ChunkTransport: N
 // parallel mutually-authenticated secure channels ("rails") to one peer
-// gateway, each carrying kXferOpen/kXferChunk/kXferClose envelopes.
+// gateway, each carrying kXferBundleOpen / kXferChunk /
+// kXferBundleClose envelopes.
 //
-// The simulated network serialises bandwidth per connection direction,
-// exactly like a real TCP stream under one congestion window — so N
-// rails approach N times the single-connection transfer rate. This is
-// the mechanism behind the chunked engine's speedup over the legacy
-// whole-blob kDeliverFile path (one message on one connection).
+// Chunks striped over N rails keep N request/reply exchanges in flight
+// at once, so per-chunk round trips overlap. The simulated network
+// shares one bandwidth queue per host pair, so the rails do not
+// multiply payload throughput there (EXPERIMENTS.md C5b).
 //
 // The rails draw from a net::ChannelPool: slots connect lazily on
 // first use, reconnect after failure, and — when a SessionCache is
@@ -46,8 +46,8 @@ class XferRails : public xfer::ChunkTransport,
     /// Session-resumption cache shared with the owner's other channels
     /// toward the same peer; nullptr disables resumption on the rails.
     net::SessionCache* session_cache = nullptr;
-    /// Feature bits to advertise; rails always require chunked transfer
-    /// on top of these.
+    /// Feature bits to advertise; rails always require the chunked and
+    /// bundle transfer features on top of these.
     std::uint64_t features = net::kDefaultFeatures;
     /// Worker pool for each rail channel's batched record crypto.
     util::ThreadPool* record_pool = nullptr;

@@ -32,7 +32,11 @@ std::vector<ChunkRange> ChunkBitmap::ranges() const {
 
 void ChunkBitmap::apply(const std::vector<ChunkRange>& ranges) {
   for (const ChunkRange& range : ranges) {
-    for (std::uint64_t i = 0; i < range.count; ++i) set(range.first + i);
+    // Clamped to the bitmap: a range off the wire may claim anything.
+    if (range.first >= have_.size()) continue;
+    std::uint64_t end =
+        range.first + std::min(range.count, have_.size() - range.first);
+    for (std::uint64_t i = range.first; i < end; ++i) set(i);
   }
 }
 

@@ -17,8 +17,6 @@ std::uint32_t Service::clamp_chunk_bytes(std::uint32_t proposed) const {
 
 std::uint64_t Service::buffered_total() const {
   std::uint64_t total = 0;
-  for (const auto& [key, incoming] : incoming_)
-    total += incoming->assembly.buffered_bytes();
   for (const auto& [key, bundle] : bundles_)
     for (const Assembly& assembly : bundle->assemblies)
       total += assembly.buffered_bytes();
@@ -35,368 +33,16 @@ std::uint32_t Service::credit_for_bytes(std::uint32_t chunk_bytes) const {
       chunks, 1, limits_.max_credit));  // never stall a sender completely
 }
 
-std::uint32_t Service::credit_for(const Assembly& assembly) const {
-  return credit_for_bytes(assembly.chunk_bytes());
-}
-
-void Service::count_open(const char* kind) {
-  njs_.metrics()
-      ->counter("unicore_xfer_opens_total",
-                {{"usite", njs_.usite()}, {"kind", kind}})
-      .increment();
-}
-
 void Service::update_gauges() {
   auto& m = *njs_.metrics();
   obs::Labels labels{{"usite", njs_.usite()}};
   m.gauge("unicore_xfer_open_inbound", labels)
-      .set(static_cast<double>(incoming_.size() + bundles_.size()));
+      .set(static_cast<double>(bundles_.size()));
   m.gauge("unicore_xfer_open_outbound", labels)
-      .set(static_cast<double>(outgoing_.size() + outgoing_bundles_.size()));
+      .set(static_cast<double>(outgoing_bundles_.size()));
   m.gauge("unicore_xfer_buffered_bytes", labels)
       .set(static_cast<double>(buffered_total()));
 }
-
-std::uint64_t Service::satisfy_open(Incoming& incoming,
-                                    const PushOpenRequest& request) {
-  // The sender's digest manifest is only meaningful at the granularity
-  // it was computed for; a clamped chunk size invalidates it.
-  if (store_ == nullptr || request.digests.empty() ||
-      incoming.assembly.chunk_bytes() != request.proposed_chunk_bytes)
-    return 0;
-  std::uint64_t satisfied =
-      incoming.assembly.satisfy_from_store(request.digests);
-  if (satisfied > 0) {
-    chunks_deduped_ += satisfied;
-    njs_.metrics()
-        ->counter("unicore_xfer_dedup_chunks_total",
-                  {{"usite", njs_.usite()}})
-        .add(static_cast<double>(satisfied));
-  }
-  return satisfied;
-}
-
-PushOpenReply Service::resume_reply(const Incoming& incoming) const {
-  PushOpenReply reply;
-  reply.transfer_id = incoming.id;
-  reply.chunk_bytes = incoming.assembly.chunk_bytes();
-  reply.credit = credit_for(incoming.assembly);
-  reply.have = incoming.assembly.bitmap().ranges();
-  return reply;
-}
-
-Result<Bytes> Service::open(const crypto::DistinguishedName& principal,
-                            bool server_peer, Role role, util::ByteReader& r) {
-  count_open("file");
-  switch (role) {
-    case Role::kPush:
-      if (!server_peer)
-        return make_error(ErrorCode::kPermissionDenied,
-                          "push requires a peer server certificate");
-      return open_push(principal, role, r);
-    case Role::kClientPush:
-      if (server_peer)
-        return make_error(ErrorCode::kPermissionDenied,
-                          "client push requires a user certificate");
-      return open_push(principal, role, r);
-    case Role::kPeerPull:
-      if (!server_peer)
-        return make_error(ErrorCode::kPermissionDenied,
-                          "peer pull requires a peer server certificate");
-      return open_pull(principal, role, r);
-    case Role::kClientPull:
-      if (server_peer)
-        return make_error(ErrorCode::kPermissionDenied,
-                          "client pull requires a user certificate");
-      return open_pull(principal, role, r);
-  }
-  return make_error(ErrorCode::kInvalidArgument, "unknown transfer role");
-}
-
-Result<Bytes> Service::open_push(const crypto::DistinguishedName& principal,
-                                 Role role, util::ByteReader& r) {
-  PushOpenRequest request = PushOpenRequest::decode(role, r);
-
-  if (completed_.count(request.key) != 0) {
-    // Already delivered (possibly before a crash): report every chunk
-    // present so the sender goes straight to close.
-    PushOpenReply reply;
-    reply.transfer_id = 0;
-    reply.chunk_bytes = clamp_chunk_bytes(request.proposed_chunk_bytes);
-    reply.credit = 0;
-    reply.have = {
-        ChunkRange{0, chunk_count(request.size, reply.chunk_bytes)}};
-    return reply.encode();
-  }
-
-  if (auto it = incoming_.find(request.key); it != incoming_.end()) {
-    Incoming& incoming = *it->second;
-    if (incoming.manifest.principal != principal)
-      return make_error(ErrorCode::kPermissionDenied,
-                        "transfer belongs to another principal");
-    if (incoming.manifest.size != request.size ||
-        incoming.manifest.checksum != request.checksum ||
-        incoming.manifest.synthetic != request.synthetic)
-      return make_error(ErrorCode::kFailedPrecondition,
-                        "open does not match the journaled manifest");
-    // Chunks the store gained since the interruption (or that recovery
-    // could not re-satisfy) are acked here instead of retransmitted.
-    satisfy_open(incoming, request);
-    return resume_reply(incoming).encode();
-  }
-
-  // New transfer: the target job must exist here (and, for a client
-  // staging its own job, belong to the caller).
-  auto owner = njs_.owner(request.token);
-  if (!owner.ok()) return owner.error();
-  if (role == Role::kClientPush && !(owner.value() == principal))
-    return make_error(ErrorCode::kPermissionDenied,
-                      "job belongs to another user");
-
-  auto incoming = std::make_unique<Incoming>();
-  incoming->manifest.key = request.key;
-  incoming->manifest.token = request.token;
-  incoming->manifest.name = request.name;
-  incoming->manifest.size = request.size;
-  incoming->manifest.checksum = request.checksum;
-  incoming->manifest.synthetic = request.synthetic;
-  incoming->manifest.chunk_bytes =
-      clamp_chunk_bytes(request.proposed_chunk_bytes);
-  incoming->manifest.principal = principal;
-  incoming->assembly =
-      Assembly(request.size, request.checksum, request.synthetic,
-               incoming->manifest.chunk_bytes);
-  if (store_ != nullptr) incoming->assembly.attach_store(store_);
-  incoming->id = next_id_++;
-  incoming->opened_at = engine_.now();
-  if (njs::Journal* journal = njs_.journal_for(incoming->manifest.token))
-    journal_manifest(*journal, incoming->manifest);
-  // Dedup at open: chunks the store already holds are reported in the
-  // reply's `have` ranges — for an unchanged dataset the sender goes
-  // straight to close without pushing a byte of payload.
-  satisfy_open(*incoming, request);
-
-  PushOpenReply reply = resume_reply(*incoming);
-  incoming_by_id_[incoming->id] = incoming.get();
-  incoming_.emplace(request.key, std::move(incoming));
-  update_gauges();
-  return reply.encode();
-}
-
-Result<Bytes> Service::open_pull(const crypto::DistinguishedName& principal,
-                                 Role role, util::ByteReader& r) {
-  PullOpenRequest request = PullOpenRequest::decode(role, r);
-  if (role == Role::kClientPull) {
-    auto owner = njs_.owner(request.token);
-    if (!owner.ok()) return owner.error();
-    if (!(owner.value() == principal))
-      return make_error(ErrorCode::kPermissionDenied,
-                        "job belongs to another user");
-  }
-  auto blob = njs_.fetch_file_shared(request.token, request.name);
-  if (!blob.ok()) return blob.error();
-
-  std::uint32_t inline_limit =
-      std::min(request.inline_limit, limits_.inline_limit);
-  PullOpenReply reply;
-  if (blob.value()->size() <= inline_limit) {
-    reply.inline_blob = true;
-    reply.blob = *blob.value();
-    return reply.encode();
-  }
-
-  Outgoing outgoing;
-  outgoing.id = next_id_++;
-  outgoing.blob = std::move(blob).value();
-  outgoing.chunk_bytes = clamp_chunk_bytes(request.proposed_chunk_bytes);
-  reply.inline_blob = false;
-  reply.transfer_id = outgoing.id;
-  reply.chunk_bytes = outgoing.chunk_bytes;
-  reply.size = outgoing.blob->size();
-  reply.checksum = outgoing.blob->checksum();
-  reply.synthetic = outgoing.blob->is_synthetic();
-  // The pull-path dedup manifest: a puller with a chunk store satisfies
-  // matching chunks locally and only requests the rest.
-  reply.digests = outgoing.blob->chunk_digests(outgoing.chunk_bytes);
-  auto [it, inserted] = outgoing_.emplace(outgoing.id, std::move(outgoing));
-  touch_outgoing(it->second);
-  update_gauges();
-  return reply.encode();
-}
-
-Result<Bytes> Service::chunk(const crypto::DistinguishedName& principal,
-                             bool server_peer, Role role, util::ByteReader& r) {
-  if (role_is_push(role)) {
-    if (role == Role::kPush && !server_peer)
-      return make_error(ErrorCode::kPermissionDenied,
-                        "push requires a peer server certificate");
-    if (role == Role::kClientPush && server_peer)
-      return make_error(ErrorCode::kPermissionDenied,
-                        "client push requires a user certificate");
-    // The transfer id tells bundle chunks from single-file ones: both
-    // tables draw ids from one counter, so a hit is unambiguous.
-    std::uint64_t transfer_id = r.u64();
-    if (auto bundle_it = bundles_by_id_.find(transfer_id);
-        bundle_it != bundles_by_id_.end())
-      return bundle_push_chunk(principal, *bundle_it->second, r);
-    // Unknown ids (e.g. stale after a crash) bail before the body is
-    // decoded: a stale BUNDLE chunk's body has a different layout, and
-    // mis-decoding it here would throw instead of driving a resume.
-    auto it = incoming_by_id_.find(transfer_id);
-    if (it == incoming_by_id_.end())
-      return make_error(ErrorCode::kNotFound,
-                        "no such transfer (receiver restarted?)");
-    PushChunkRequest request;
-    request.role = role;
-    request.transfer_id = transfer_id;
-    request.chunk = Chunk::decode(r);
-    Incoming& incoming = *it->second;
-    if (incoming.manifest.principal != principal)
-      return make_error(ErrorCode::kPermissionDenied,
-                        "transfer belongs to another principal");
-
-    PushChunkReply reply;
-    if (incoming.assembly.bitmap().test(request.chunk.index)) {
-      // Idempotent re-delivery: journaled (and possibly acked) before a
-      // crash or a lost ack. Never applied twice.
-      ++duplicates_suppressed_;
-      njs_.metrics()
-          ->counter("unicore_xfer_duplicate_chunks_total",
-                    {{"usite", njs_.usite()}})
-          .increment();
-      reply.applied = false;
-      reply.credit = credit_for(incoming.assembly);
-      return reply.encode();
-    }
-    if (!incoming.assembly.synthetic() &&
-        buffered_total() + request.chunk.length > limits_.buffer_limit_bytes)
-      return make_error(ErrorCode::kResourceExhausted,
-                        "receive window full");  // retryable: backs off
-
-    util::Status accepted = incoming.assembly.accept(request.chunk);
-    if (!accepted.ok()) return accepted.error();
-    // Write-ahead: the chunk must be durable before the ack can leave —
-    // a crash after this append answers the retransmit as a duplicate.
-    if (njs::Journal* journal = njs_.journal_for(incoming.manifest.token))
-      journal_chunk(*journal, incoming.manifest, request.chunk);
-    ++chunks_applied_;
-    update_gauges();
-    reply.applied = true;
-    reply.credit = credit_for(incoming.assembly);
-    return reply.encode();
-  }
-
-  // Pull side: serve a chunk of an open outbound read.
-  std::uint64_t transfer_id = r.u64();
-  if (auto bundle_it = outgoing_bundles_.find(transfer_id);
-      bundle_it != outgoing_bundles_.end()) {
-    BundlePullChunkRequest request =
-        BundlePullChunkRequest::decode(role, transfer_id, r);
-    OutgoingBundle& outgoing = bundle_it->second;
-    if (request.file_index >= outgoing.blobs.size())
-      return make_error(ErrorCode::kInvalidArgument,
-                        "bundle file index out of range");
-    const uspace::FileBlob& blob = *outgoing.blobs[request.file_index];
-    if (request.index >= chunk_count(blob.size(), outgoing.chunk_bytes))
-      return make_error(ErrorCode::kInvalidArgument,
-                        "chunk index out of range");
-    touch_outgoing_bundle(outgoing);
-    Chunk chunk = make_chunk(blob, request.index, outgoing.chunk_bytes);
-    util::ByteWriter w;
-    chunk.encode(w);
-    return w.take();
-  }
-  PullChunkRequest request;
-  request.role = role;
-  request.transfer_id = transfer_id;
-  request.index = r.u64();
-  auto it = outgoing_.find(request.transfer_id);
-  if (it == outgoing_.end())
-    return make_error(ErrorCode::kNotFound,
-                      "no such transfer (source restarted?)");
-  Outgoing& outgoing = it->second;
-  if (request.index >=
-      chunk_count(outgoing.blob->size(), outgoing.chunk_bytes))
-    return make_error(ErrorCode::kInvalidArgument, "chunk index out of range");
-  touch_outgoing(outgoing);
-  Chunk chunk = make_chunk(*outgoing.blob, request.index, outgoing.chunk_bytes);
-  util::ByteWriter w;
-  chunk.encode(w);
-  return w.take();
-}
-
-Result<Bytes> Service::close(const crypto::DistinguishedName& principal,
-                             bool server_peer, Role role, util::ByteReader& r) {
-  if (role_is_push(role)) {
-    if (role == Role::kPush && !server_peer)
-      return make_error(ErrorCode::kPermissionDenied,
-                        "push requires a peer server certificate");
-    if (role == Role::kClientPush && server_peer)
-      return make_error(ErrorCode::kPermissionDenied,
-                        "client push requires a user certificate");
-    return close_push(principal, role, r);
-  }
-  CloseRequest request = CloseRequest::decode(role, r);
-  if (auto it = outgoing_.find(request.transfer_id); it != outgoing_.end()) {
-    if (it->second.expiry != 0) engine_.cancel(it->second.expiry);
-    outgoing_.erase(it);
-    update_gauges();
-  }
-  return Bytes{};  // idempotent: closing an unknown read is fine
-}
-
-Result<Bytes> Service::close_push(const crypto::DistinguishedName& principal,
-                                  Role role, util::ByteReader& r) {
-  CloseRequest request = CloseRequest::decode(role, r);
-  if (completed_.count(request.key) != 0) return Bytes{};  // idempotent
-
-  auto by_id = incoming_by_id_.find(request.transfer_id);
-  Incoming* incoming = by_id != incoming_by_id_.end() ? by_id->second : nullptr;
-  if (incoming == nullptr) {
-    auto by_key = incoming_.find(request.key);
-    if (by_key != incoming_.end()) incoming = by_key->second.get();
-  }
-  if (incoming == nullptr)
-    return make_error(ErrorCode::kNotFound,
-                      "no such transfer (receiver restarted?)");
-  if (incoming->manifest.principal != principal)
-    return make_error(ErrorCode::kPermissionDenied,
-                      "transfer belongs to another principal");
-  if (!incoming->assembly.complete())
-    return make_error(
-        ErrorCode::kFailedPrecondition,
-        "transfer incomplete: " +
-            std::to_string(incoming->assembly.bitmap().count()) + "/" +
-            std::to_string(incoming->assembly.bitmap().total()) + " chunks");
-
-  auto blob = incoming->assembly.finish();
-  if (!blob.ok())
-    return make_error(ErrorCode::kInternal,
-                      "whole-file verification failed: " +
-                          blob.error().message);
-  auto status = njs_.deliver_file(
-      incoming->manifest.token, incoming->manifest.name,
-      std::make_shared<const uspace::FileBlob>(std::move(blob).value()));
-  if (!status.ok()) return status.error();
-
-  if (njs::Journal* journal = njs_.journal_for(incoming->manifest.token))
-    journal_done(*journal, incoming->manifest);
-  njs_.record_transfer_span(
-      incoming->manifest.token, "xfer-in", incoming->opened_at, engine_.now(),
-      {{"file", incoming->manifest.name},
-       {"bytes", std::to_string(incoming->manifest.size)},
-       {"chunks", std::to_string(incoming->assembly.bitmap().total())},
-       {"from", incoming->manifest.principal.common_name}});
-  ++transfers_completed_;
-  util::Bytes key = incoming->manifest.key;  // copy: erase frees `incoming`
-  completed_.insert(key);
-  incoming_by_id_.erase(incoming->id);
-  incoming_.erase(key);
-  update_gauges();
-  return Bytes{};
-}
-
-// ---- bundles ---------------------------------------------------------------
 
 util::Status Service::deliver_bundle_file(IncomingBundle& bundle,
                                           std::uint32_t index) {
@@ -418,8 +64,9 @@ util::Status Service::deliver_bundle_file(IncomingBundle& bundle,
 
 std::uint64_t Service::satisfy_bundle_open(IncomingBundle& bundle,
                                            const BundleOpenRequest& request) {
-  // Like satisfy_open: the manifests are only meaningful at the
-  // granularity they were computed for.
+  // The sender's digest manifests are only meaningful at the
+  // granularity they were computed for; a clamped chunk size
+  // invalidates them.
   if (store_ == nullptr ||
       bundle.manifest.chunk_bytes != request.proposed_chunk_bytes)
     return 0;
@@ -463,7 +110,10 @@ BundleOpenReply Service::bundle_resume_reply(
 Result<Bytes> Service::bundle_open(const crypto::DistinguishedName& principal,
                                    bool server_peer, Role role,
                                    util::ByteReader& r) {
-  count_open("bundle");
+  njs_.metrics()
+      ->counter("unicore_xfer_opens_total",
+                {{"usite", njs_.usite()}, {"kind", "bundle"}})
+      .increment();
   switch (role) {
     case Role::kPush:
       if (!server_peer)
@@ -497,13 +147,22 @@ Result<Bytes> Service::bundle_open_push(
   if (request.files.empty() || request.files.size() > kMaxBundleFiles)
     return make_error(ErrorCode::kInvalidArgument,
                       "bundle file count out of range");
+  std::uint32_t chunk_bytes = clamp_chunk_bytes(request.proposed_chunk_bytes);
+  std::uint64_t chunks = 0;
+  for (const BundleFileEntry& entry : request.files) {
+    chunks += std::min(chunk_count(entry.size, chunk_bytes),
+                       kMaxBundleChunks + 1);
+    if (chunks > kMaxBundleChunks)
+      return make_error(ErrorCode::kInvalidArgument,
+                        "bundle spans more than kMaxBundleChunks chunks");
+  }
 
   if (completed_bundles_.count(request.key) != 0) {
     // Already committed (possibly before a crash): report every file
     // complete so the sender goes straight to close.
     BundleOpenReply reply;
     reply.transfer_id = 0;
-    reply.chunk_bytes = clamp_chunk_bytes(request.proposed_chunk_bytes);
+    reply.chunk_bytes = chunk_bytes;
     reply.credit = 0;
     reply.files.resize(request.files.size());
     for (BundleFileState& file : reply.files) file.complete = true;
@@ -543,8 +202,7 @@ Result<Bytes> Service::bundle_open_push(
   auto bundle = std::make_unique<IncomingBundle>();
   bundle->manifest.key = request.key;
   bundle->manifest.token = request.token;
-  bundle->manifest.chunk_bytes =
-      clamp_chunk_bytes(request.proposed_chunk_bytes);
+  bundle->manifest.chunk_bytes = chunk_bytes;
   bundle->manifest.principal = principal;
   bundle->manifest.files.reserve(request.files.size());
   bundle->assemblies.reserve(request.files.size());
@@ -572,8 +230,8 @@ Result<Bytes> Service::bundle_open_push(
     obs::Labels labels{{"usite", njs_.usite()}};
     m.counter("unicore_xfer_bundle_files_total", labels)
         .add(static_cast<double>(request.files.size()));
-    // Against the per-file baseline of one open + one close RTT per
-    // file, a bundle spends two RTTs total: 2n - 2 saved.
+    // Against a baseline of one open + one close RTT per file, a bundle
+    // spends two RTTs total: 2n - 2 saved.
     m.counter("unicore_xfer_rtts_saved_total", labels)
         .add(static_cast<double>(2 * request.files.size() - 2));
   }
@@ -602,23 +260,31 @@ Result<Bytes> Service::bundle_open_pull(
   }
 
   OutgoingBundle outgoing;
-  outgoing.chunk_bytes = clamp_chunk_bytes(request.proposed_chunk_bytes);
-  BundlePullOpenReply reply;
-  reply.chunk_bytes = outgoing.chunk_bytes;
-  reply.files.reserve(request.names.size());
   outgoing.blobs.reserve(request.names.size());
   for (const std::string& name : request.names) {
     auto blob = njs_.fetch_file_shared(request.token, name);
     if (!blob.ok()) return blob.error();
+    outgoing.blobs.push_back(std::move(blob).value());
+  }
+  BundlePullOpenReply reply;
+  if (outgoing.blobs.size() == 1 &&
+      outgoing.blobs[0]->size() <= kPullInlineLimit) {
+    reply.inlined = true;
+    reply.blob = *outgoing.blobs[0];
+    return reply.encode();
+  }
+  outgoing.chunk_bytes = clamp_chunk_bytes(request.proposed_chunk_bytes);
+  reply.chunk_bytes = outgoing.chunk_bytes;
+  reply.files.reserve(outgoing.blobs.size());
+  for (const auto& blob : outgoing.blobs) {
     BundlePullFileInfo info;
-    info.size = blob.value()->size();
-    info.checksum = blob.value()->checksum();
-    info.synthetic = blob.value()->is_synthetic();
+    info.size = blob->size();
+    info.checksum = blob->checksum();
+    info.synthetic = blob->is_synthetic();
     // The reply's digests ARE the pull-path manifest negotiation: the
     // puller's store satisfies matching chunks without a request.
-    info.digests = blob.value()->chunk_digests(outgoing.chunk_bytes);
+    info.digests = blob->chunk_digests(outgoing.chunk_bytes);
     reply.files.push_back(std::move(info));
-    outgoing.blobs.push_back(std::move(blob).value());
   }
   outgoing.id = next_id_++;
   reply.transfer_id = outgoing.id;
@@ -630,9 +296,13 @@ Result<Bytes> Service::bundle_open_pull(
 }
 
 Result<Bytes> Service::bundle_push_chunk(
-    const crypto::DistinguishedName& principal, IncomingBundle& bundle,
-    util::ByteReader& r) {
-  BundleChunkRequest request = BundleChunkRequest::decode(bundle.id, r);
+    const crypto::DistinguishedName& principal,
+    const BundleChunkRequest& request) {
+  auto it = bundles_by_id_.find(request.transfer_id);
+  if (it == bundles_by_id_.end())
+    return make_error(ErrorCode::kNotFound,
+                      "no such bundle (receiver restarted?)");
+  IncomingBundle& bundle = *it->second;
   if (bundle.manifest.principal != principal)
     return make_error(ErrorCode::kPermissionDenied,
                       "bundle belongs to another principal");
@@ -644,7 +314,8 @@ Result<Bytes> Service::bundle_push_chunk(
   PushChunkReply reply;
   if (bundle.delivered[request.file_index] ||
       assembly.bitmap().test(request.chunk.index)) {
-    // Idempotent re-delivery, exactly like the single-file path.
+    // Idempotent re-delivery: journaled (and possibly acked) before a
+    // crash or a lost ack. Never applied twice.
     ++duplicates_suppressed_;
     njs_.metrics()
         ->counter("unicore_xfer_duplicate_chunks_total",
@@ -661,7 +332,8 @@ Result<Bytes> Service::bundle_push_chunk(
 
   util::Status accepted = assembly.accept(request.chunk);
   if (!accepted.ok()) return accepted.error();
-  // Write-ahead: durable before the ack can leave, like journal_chunk.
+  // Write-ahead: the chunk must be durable before the ack can leave —
+  // a crash after this append answers the retransmit as a duplicate.
   if (njs::Journal* journal = njs_.journal_for(bundle.manifest.token))
     journal_bundle_chunk(*journal, bundle.manifest, request.file_index,
                          request.chunk);
@@ -676,6 +348,38 @@ Result<Bytes> Service::bundle_push_chunk(
   reply.applied = true;
   reply.credit = credit_for_bytes(bundle.manifest.chunk_bytes);
   return reply.encode();
+}
+
+Result<Bytes> Service::chunk(const crypto::DistinguishedName& principal,
+                             bool server_peer, Role role, util::ByteReader& r) {
+  if (role_is_push(role)) {
+    if (role == Role::kPush && !server_peer)
+      return make_error(ErrorCode::kPermissionDenied,
+                        "push requires a peer server certificate");
+    if (role == Role::kClientPush && server_peer)
+      return make_error(ErrorCode::kPermissionDenied,
+                        "client push requires a user certificate");
+    return bundle_push_chunk(principal, BundleChunkRequest::decode(r));
+  }
+
+  // Pull side: serve a chunk of an open outbound read.
+  BundlePullChunkRequest request = BundlePullChunkRequest::decode(role, r);
+  auto it = outgoing_bundles_.find(request.transfer_id);
+  if (it == outgoing_bundles_.end())
+    return make_error(ErrorCode::kNotFound,
+                      "no such transfer (source restarted?)");
+  OutgoingBundle& outgoing = it->second;
+  if (request.file_index >= outgoing.blobs.size())
+    return make_error(ErrorCode::kInvalidArgument,
+                      "bundle file index out of range");
+  const uspace::FileBlob& blob = *outgoing.blobs[request.file_index];
+  if (request.index >= chunk_count(blob.size(), outgoing.chunk_bytes))
+    return make_error(ErrorCode::kInvalidArgument, "chunk index out of range");
+  touch_outgoing_bundle(outgoing);
+  Chunk chunk = make_chunk(blob, request.index, outgoing.chunk_bytes);
+  util::ByteWriter w;
+  chunk.encode(w);
+  return w.take();
 }
 
 Result<Bytes> Service::bundle_close(const crypto::DistinguishedName& principal,
@@ -764,24 +468,9 @@ void Service::touch_outgoing_bundle(OutgoingBundle& outgoing) {
   });
 }
 
-void Service::touch_outgoing(Outgoing& outgoing) {
-  if (outgoing.expiry != 0) engine_.cancel(outgoing.expiry);
-  std::uint64_t id = outgoing.id;
-  outgoing.expiry = engine_.after(limits_.read_idle_timeout, [this, id] {
-    outgoing_.erase(id);
-    update_gauges();
-  });
-}
-
 void Service::on_njs_crash() {
   // The process died: every in-memory table goes. The journal (a disk)
   // is what on_njs_recover rebuilds from.
-  incoming_.clear();
-  incoming_by_id_.clear();
-  completed_.clear();
-  for (auto& [id, outgoing] : outgoing_)
-    if (outgoing.expiry != 0) engine_.cancel(outgoing.expiry);
-  outgoing_.clear();
   bundles_.clear();
   bundles_by_id_.clear();
   completed_bundles_.clear();
@@ -800,39 +489,12 @@ void Service::on_njs_adopt(const njs::Journal& journal) {
 }
 
 void Service::fold_journal(const njs::Journal& journal) {
-  for (util::Bytes& key : completed_transfer_keys(journal))
-    completed_.insert(std::move(key));
-  for (RecoveredTransfer& recovered : recover_transfers(journal)) {
-    // Already live here (adopt fold beside open transfers) — keep it.
-    if (incoming_.count(recovered.manifest.key) != 0) continue;
-    // The target job must have survived recovery too.
-    if (!njs_.owner(recovered.manifest.token).ok()) continue;
-    auto incoming = std::make_unique<Incoming>();
-    incoming->assembly = Assembly(
-        recovered.manifest.size, recovered.manifest.checksum,
-        recovered.manifest.synthetic, recovered.manifest.chunk_bytes);
-    if (store_ != nullptr) incoming->assembly.attach_store(store_);
-    incoming->manifest = std::move(recovered.manifest);
-    incoming->id = next_id_++;  // fresh id: the old one is dead with the
-                                // process, senders re-open by key
-    incoming->opened_at = engine_.now();
-    for (const Chunk& chunk : recovered.chunks) {
-      // Already verified and journaled; re-journaling would double the
-      // log, so fold straight into the assembly.
-      incoming->assembly.accept(chunk);
-    }
-    incoming_by_id_[incoming->id] = incoming.get();
-    incoming_.emplace(incoming->manifest.key, std::move(incoming));
-    ++transfers_recovered_;
-    njs_.metrics()
-        ->counter("unicore_xfer_recovered_transfers_total",
-                  {{"usite", njs_.usite()}})
-        .increment();
-  }
   for (util::Bytes& key : completed_bundle_keys(journal))
     completed_bundles_.insert(std::move(key));
   for (RecoveredBundle& recovered : recover_bundles(journal)) {
+    // Already live here (adopt fold beside open bundles) — keep it.
     if (bundles_.count(recovered.manifest.key) != 0) continue;
+    // The target job must have survived recovery too.
     if (!njs_.owner(recovered.manifest.token).ok()) continue;
     auto bundle = std::make_unique<IncomingBundle>();
     bundle->assemblies.reserve(recovered.manifest.files.size());
@@ -848,7 +510,8 @@ void Service::fold_journal(const njs::Journal& journal) {
     bundle->opened_at = engine_.now();
     for (auto& [file_index, chunk] : recovered.chunks) {
       if (file_index >= bundle->assemblies.size()) continue;
-      // Already verified and journaled; fold straight in.
+      // Already verified and journaled; re-journaling would double the
+      // log, so fold straight into the assembly.
       bundle->assemblies[file_index].accept(chunk);
     }
     // Files whose last chunk landed before the crash re-deliver into

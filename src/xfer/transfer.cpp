@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 namespace unicore::xfer {
@@ -22,538 +23,28 @@ bool needs_resume(ErrorCode code) {
   return code == ErrorCode::kNotFound || code == ErrorCode::kFailedPrecondition;
 }
 
-// ---- push ------------------------------------------------------------------
-
-class PushRun : public std::enable_shared_from_this<PushRun> {
- public:
-  PushRun(TransferManager& mgr, std::shared_ptr<ChunkTransport> transport,
-          PushSpec spec, std::shared_ptr<const uspace::FileBlob> blob,
-          TransferOptions options,
-          std::function<void(util::Result<TransferStats>)> done)
-      : mgr_(mgr),
-        transport_(std::move(transport)),
-        spec_(std::move(spec)),
-        blob_(std::move(blob)),
-        options_(options),
-        done_cb_(std::move(done)) {
-    key_ = make_transfer_key(spec_.source, spec_.token, spec_.name,
-                             blob_->checksum(), blob_->size());
+/// Decodes a peer's reply body. A truncated or garbled body is the
+/// peer's fault, not ours: it yields nullopt instead of throwing out of
+/// an engine callback.
+template <typename T>
+std::optional<T> decode_reply(const util::Bytes& body) {
+  try {
+    util::ByteReader r{body};
+    return T::decode(r);
+  } catch (const std::out_of_range&) {
+    return std::nullopt;
   }
+}
 
-  void start() {
-    stats_.started_at = mgr_.engine().now();
-    stats_.streams = transport_->streams();
-    if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_active_transfers", site_labels(mgr_, "push"))
-          .add(1);
-    send_open();
-  }
+util::Error malformed_reply() {
+  return make_error(ErrorCode::kInvalidArgument, "malformed transfer reply");
+}
 
- private:
-  std::uint32_t window_limit() const {
-    auto window = static_cast<std::uint32_t>(transport_->streams()) *
-                  options_.window_per_stream;
-    return std::min(window, std::max<std::uint32_t>(credit_, 1));
-  }
-
-  void send_open() {
-    PushOpenRequest request;
-    request.role = spec_.role;
-    request.key = key_;
-    request.token = spec_.token;
-    request.name = spec_.name;
-    request.size = blob_->size();
-    request.checksum = blob_->checksum();
-    request.synthetic = blob_->is_synthetic();
-    request.proposed_chunk_bytes = options_.chunk_bytes;
-    // Offer the per-chunk digests so a store-backed receiver can ack
-    // every chunk it already holds in the open reply. Computed once per
-    // run (re-opens after a resume reuse the cache).
-    if (!digests_computed_) {
-      digests_ = blob_->chunk_digests(options_.chunk_bytes);
-      digests_computed_ = true;
-    }
-    request.digests = digests_;
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    transport_->call(0, Op::kOpen, request.encode(),
-                     [self, gen](util::Result<util::Bytes> reply) {
-                       self->on_open_reply(gen, std::move(reply));
-                     });
-  }
-
-  void on_open_reply(std::uint64_t gen, util::Result<util::Bytes> reply) {
-    if (finished_ || gen != generation_) return;
-    if (!reply.ok()) {
-      if (util::is_retryable(reply.error().code))
-        resume("open failed: " + reply.error().to_string());
-      else
-        fail(reply.error());
-      return;
-    }
-    util::ByteReader r{reply.value()};
-    PushOpenReply open = PushOpenReply::decode(r);
-    transfer_id_ = open.transfer_id;
-    chunk_bytes_ = open.chunk_bytes;
-    credit_ = open.credit;
-    acked_ = ChunkBitmap(chunk_count(blob_->size(), chunk_bytes_));
-    acked_.apply(open.have);  // the receiver's journal is the truth
-    queue_ = acked_.missing();
-    pos_ = 0;
-    inflight_ = 0;
-    if (acked_.complete())
-      send_close();
-    else
-      pump();
-  }
-
-  void pump() {
-    while (pos_ < queue_.size() && inflight_ < window_limit())
-      send_chunk(queue_[pos_++]);
-  }
-
-  void send_chunk(std::uint64_t index) {
-    PushChunkRequest request;
-    request.role = spec_.role;
-    request.transfer_id = transfer_id_;
-    request.chunk = make_chunk(*blob_, index, chunk_bytes_);
-    ++inflight_;
-    ++stats_.chunks;
-    if (auto* m = mgr_.metrics()) {
-      auto labels = site_labels(mgr_, "push");
-      m->counter("unicore_xfer_chunks_total", labels).increment();
-      m->counter("unicore_xfer_bytes_total", labels)
-          .add(static_cast<double>(request.chunk.length));
-      m->gauge("unicore_xfer_inflight_chunks", labels).add(1);
-    }
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    std::size_t stream = next_stream_++ % transport_->streams();
-    transport_->call(stream, Op::kChunk, request.encode(),
-                     [self, gen, index](util::Result<util::Bytes> reply) {
-                       self->on_chunk_reply(gen, index, std::move(reply));
-                     });
-  }
-
-  void on_chunk_reply(std::uint64_t gen, std::uint64_t index,
-                      util::Result<util::Bytes> reply) {
-    if (finished_ || gen != generation_) return;
-    --inflight_;
-    if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_inflight_chunks", site_labels(mgr_, "push"))
-          .add(-1);
-    if (!reply.ok()) {
-      if (needs_resume(reply.error().code))
-        resume("chunk rejected: " + reply.error().to_string());
-      else if (util::is_retryable(reply.error().code))
-        retry_chunk(index);
-      else
-        fail(reply.error());
-      return;
-    }
-    util::ByteReader r{reply.value()};
-    PushChunkReply ack = PushChunkReply::decode(r);
-    credit_ = ack.credit;
-    if (!ack.applied) ++stats_.duplicates;
-    acked_.set(index);
-    if (acked_.complete() && inflight_ == 0)
-      send_close();  // wait for stragglers: a post-close ack would 404
-    else
-      pump();
-  }
-
-  void retry_chunk(std::uint64_t index) {
-    int attempt = ++chunk_attempts_[index];
-    if (attempt > options_.max_chunk_retries) {
-      resume("chunk retries exhausted");
-      return;
-    }
-    ++stats_.retransmits;
-    if (auto* m = mgr_.metrics())
-      m->counter("unicore_xfer_retransmits_total", site_labels(mgr_, "push"))
-          .increment();
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    mgr_.engine().after(
-        util::backoff_delay_us(options_.backoff, attempt, mgr_.rng()),
-        [self, gen, index] {
-          if (self->finished_ || gen != self->generation_) return;
-          self->send_chunk(index);
-        });
-  }
-
-  void resume(const std::string& why) {
-    if (++resume_attempts_ > options_.max_resume_attempts) {
-      fail(make_error(ErrorCode::kUnavailable,
-                      "push abandoned after " +
-                          std::to_string(options_.max_resume_attempts) +
-                          " resumes; last cause: " + why));
-      return;
-    }
-    ++stats_.resumes;
-    if (auto* m = mgr_.metrics()) {
-      m->counter("unicore_xfer_resumes_total", site_labels(mgr_, "push"))
-          .increment();
-      // Abandoned in-flight chunks never decrement the gauge themselves
-      // (their acks will carry a stale generation), so settle it here.
-      m->gauge("unicore_xfer_inflight_chunks", site_labels(mgr_, "push"))
-          .add(-static_cast<double>(inflight_));
-    }
-    ++generation_;
-    inflight_ = 0;
-    chunk_attempts_.clear();
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    mgr_.engine().after(
-        util::backoff_delay_us(options_.backoff, resume_attempts_, mgr_.rng()),
-        [self, gen] {
-          if (self->finished_ || gen != self->generation_) return;
-          self->send_open();
-        });
-  }
-
-  void send_close() {
-    CloseRequest request;
-    request.role = spec_.role;
-    request.transfer_id = transfer_id_;
-    request.key = key_;
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    transport_->call(0, Op::kClose, request.encode(),
-                     [self, gen](util::Result<util::Bytes> reply) {
-                       self->on_close_reply(gen, std::move(reply));
-                     });
-  }
-
-  void on_close_reply(std::uint64_t gen, util::Result<util::Bytes> reply) {
-    if (finished_ || gen != generation_) return;
-    if (!reply.ok()) {
-      if (needs_resume(reply.error().code) ||
-          util::is_retryable(reply.error().code))
-        resume("close failed: " + reply.error().to_string());
-      else
-        fail(reply.error());
-      return;
-    }
-    stats_.bytes = blob_->size();
-    stats_.finished_at = mgr_.engine().now();
-    finished_ = true;
-    if (auto* m = mgr_.metrics()) {
-      auto labels = site_labels(mgr_, "push");
-      m->gauge("unicore_xfer_active_transfers", labels).add(-1);
-      m->counter("unicore_xfer_transfers_total",
-                 {{"usite", mgr_.site()},
-                  {"direction", "push"},
-                  {"result", "ok"}})
-          .increment();
-      m->histogram("unicore_xfer_transfer_seconds", labels,
-                   obs::latency_buckets())
-          .observe(sim::to_seconds(stats_.finished_at - stats_.started_at));
-    }
-    done_cb_(stats_);
-  }
-
-  void fail(util::Error error) {
-    finished_ = true;
-    if (auto* m = mgr_.metrics()) {
-      m->gauge("unicore_xfer_active_transfers", site_labels(mgr_, "push"))
-          .add(-1);
-      m->counter("unicore_xfer_transfers_total",
-                 {{"usite", mgr_.site()},
-                  {"direction", "push"},
-                  {"result", "error"}})
-          .increment();
-    }
-    done_cb_(std::move(error));
-  }
-
-  TransferManager& mgr_;
-  std::shared_ptr<ChunkTransport> transport_;
-  PushSpec spec_;
-  std::shared_ptr<const uspace::FileBlob> blob_;
-  TransferOptions options_;
-  std::function<void(util::Result<TransferStats>)> done_cb_;
-
-  util::Bytes key_;
-  std::vector<crypto::Digest> digests_;  // at options_.chunk_bytes
-  bool digests_computed_ = false;
-  std::uint64_t transfer_id_ = 0;
-  std::uint32_t chunk_bytes_ = kDefaultChunkBytes;
-  std::uint32_t credit_ = 1;
-  ChunkBitmap acked_;
-  std::vector<std::uint64_t> queue_;
-  std::size_t pos_ = 0;
-  std::uint32_t inflight_ = 0;
-  std::size_t next_stream_ = 0;
-  std::map<std::uint64_t, int> chunk_attempts_;
-  int resume_attempts_ = 0;
-  std::uint64_t generation_ = 0;
-  bool finished_ = false;
-  TransferStats stats_;
-};
-
-// ---- pull ------------------------------------------------------------------
-
-class PullRun : public std::enable_shared_from_this<PullRun> {
- public:
-  PullRun(TransferManager& mgr, std::shared_ptr<ChunkTransport> transport,
-          PullSpec spec, TransferOptions options,
-          std::function<void(util::Result<PullResult>)> done)
-      : mgr_(mgr),
-        transport_(std::move(transport)),
-        spec_(std::move(spec)),
-        options_(options),
-        done_cb_(std::move(done)) {}
-
-  void start() {
-    stats_.started_at = mgr_.engine().now();
-    stats_.streams = transport_->streams();
-    if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_active_transfers", site_labels(mgr_, "pull"))
-          .add(1);
-    send_open();
-  }
-
- private:
-  std::uint32_t window_limit() const {
-    return static_cast<std::uint32_t>(transport_->streams()) *
-           options_.window_per_stream;
-  }
-
-  void send_open() {
-    PullOpenRequest request;
-    request.role = spec_.role;
-    request.token = spec_.token;
-    request.name = spec_.name;
-    request.proposed_chunk_bytes = options_.chunk_bytes;
-    request.inline_limit = options_.pull_inline_limit;
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    transport_->call(0, Op::kOpen, request.encode(),
-                     [self, gen](util::Result<util::Bytes> reply) {
-                       self->on_open_reply(gen, std::move(reply));
-                     });
-  }
-
-  void on_open_reply(std::uint64_t gen, util::Result<util::Bytes> reply) {
-    if (finished_ || gen != generation_) return;
-    if (!reply.ok()) {
-      if (util::is_retryable(reply.error().code))
-        resume("open failed: " + reply.error().to_string());
-      else
-        fail(reply.error());  // fallback decisions belong to the caller
-      return;
-    }
-    util::ByteReader r{reply.value()};
-    PullOpenReply open = PullOpenReply::decode(r);
-    if (open.inline_blob) {
-      stats_.inlined = true;
-      finish_with(std::move(open.blob));
-      return;
-    }
-    transfer_id_ = open.transfer_id;
-    if (!assembly_) {
-      assembly_.emplace(open.size, open.checksum, open.synthetic,
-                        open.chunk_bytes);
-      if (spec_.store != nullptr) assembly_->attach_store(spec_.store);
-    } else if (assembly_->size() != open.size ||
-               assembly_->checksum() != open.checksum ||
-               assembly_->chunk_bytes() != open.chunk_bytes) {
-      fail(make_error(ErrorCode::kFailedPrecondition,
-                      "file identity changed across a pull resume"));
-      return;
-    }
-    // The reply's digest manifest lets the local store satisfy warm
-    // chunks before anything is requested (re-checked on every resume:
-    // the store may have gained chunks since).
-    if (spec_.store != nullptr && !open.digests.empty())
-      stats_.deduped += assembly_->satisfy_from_store(open.digests);
-    queue_ = assembly_->bitmap().missing();
-    pos_ = 0;
-    inflight_ = 0;
-    if (assembly_->complete())
-      finish_assembled();
-    else
-      pump();
-  }
-
-  void pump() {
-    while (pos_ < queue_.size() && inflight_ < window_limit())
-      send_chunk_request(queue_[pos_++]);
-  }
-
-  void send_chunk_request(std::uint64_t index) {
-    PullChunkRequest request;
-    request.role = spec_.role;
-    request.transfer_id = transfer_id_;
-    request.index = index;
-    ++inflight_;
-    if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_inflight_chunks", site_labels(mgr_, "pull"))
-          .add(1);
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    std::size_t stream = next_stream_++ % transport_->streams();
-    transport_->call(stream, Op::kChunk, request.encode(),
-                     [self, gen, index](util::Result<util::Bytes> reply) {
-                       self->on_chunk_reply(gen, index, std::move(reply));
-                     });
-  }
-
-  void on_chunk_reply(std::uint64_t gen, std::uint64_t index,
-                      util::Result<util::Bytes> reply) {
-    if (finished_ || gen != generation_) return;
-    --inflight_;
-    if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_inflight_chunks", site_labels(mgr_, "pull"))
-          .add(-1);
-    if (!reply.ok()) {
-      if (needs_resume(reply.error().code))
-        resume("chunk fetch rejected: " + reply.error().to_string());
-      else if (util::is_retryable(reply.error().code))
-        retry_chunk(index);
-      else
-        fail(reply.error());
-      return;
-    }
-    util::ByteReader r{reply.value()};
-    Chunk chunk = Chunk::decode(r);
-    util::Status accepted = assembly_->accept(chunk);
-    if (!accepted.ok()) {
-      // A corrupt chunk is indistinguishable from a transient transport
-      // fault at this layer: refetch it (bounded).
-      retry_chunk(index);
-      return;
-    }
-    ++stats_.chunks;
-    if (auto* m = mgr_.metrics()) {
-      auto labels = site_labels(mgr_, "pull");
-      m->counter("unicore_xfer_chunks_total", labels).increment();
-      m->counter("unicore_xfer_bytes_total", labels)
-          .add(static_cast<double>(chunk.length));
-    }
-    if (assembly_->complete() && inflight_ == 0)
-      finish_assembled();
-    else
-      pump();
-  }
-
-  void retry_chunk(std::uint64_t index) {
-    int attempt = ++chunk_attempts_[index];
-    if (attempt > options_.max_chunk_retries) {
-      resume("chunk retries exhausted");
-      return;
-    }
-    ++stats_.retransmits;
-    if (auto* m = mgr_.metrics())
-      m->counter("unicore_xfer_retransmits_total", site_labels(mgr_, "pull"))
-          .increment();
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    mgr_.engine().after(
-        util::backoff_delay_us(options_.backoff, attempt, mgr_.rng()),
-        [self, gen, index] {
-          if (self->finished_ || gen != self->generation_) return;
-          self->send_chunk_request(index);
-        });
-  }
-
-  void resume(const std::string& why) {
-    if (++resume_attempts_ > options_.max_resume_attempts) {
-      fail(make_error(ErrorCode::kUnavailable,
-                      "pull abandoned after " +
-                          std::to_string(options_.max_resume_attempts) +
-                          " resumes; last cause: " + why));
-      return;
-    }
-    ++stats_.resumes;
-    if (auto* m = mgr_.metrics()) {
-      m->counter("unicore_xfer_resumes_total", site_labels(mgr_, "pull"))
-          .increment();
-      m->gauge("unicore_xfer_inflight_chunks", site_labels(mgr_, "pull"))
-          .add(-static_cast<double>(inflight_));
-    }
-    ++generation_;
-    inflight_ = 0;
-    chunk_attempts_.clear();
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    mgr_.engine().after(
-        util::backoff_delay_us(options_.backoff, resume_attempts_, mgr_.rng()),
-        [self, gen] {
-          if (self->finished_ || gen != self->generation_) return;
-          self->send_open();  // the local bitmap survives: only missing
-                              // chunks are re-requested
-        });
-  }
-
-  void finish_assembled() {
-    // Tell the source it can drop its outgoing handle. Best-effort: it
-    // also expires on idle, so the reply (or its loss) is irrelevant.
-    CloseRequest request;
-    request.role = spec_.role;
-    request.transfer_id = transfer_id_;
-    transport_->call(0, Op::kClose, request.encode(),
-                     [](util::Result<util::Bytes>) {});
-    util::Result<uspace::FileBlob> blob = assembly_->finish();
-    if (!blob.ok()) {
-      fail(blob.error());
-      return;
-    }
-    finish_with(std::move(blob).value());
-  }
-
-  void finish_with(uspace::FileBlob blob) {
-    stats_.bytes = blob.size();
-    stats_.finished_at = mgr_.engine().now();
-    finished_ = true;
-    if (auto* m = mgr_.metrics()) {
-      auto labels = site_labels(mgr_, "pull");
-      m->gauge("unicore_xfer_active_transfers", labels).add(-1);
-      m->counter("unicore_xfer_transfers_total",
-                 {{"usite", mgr_.site()},
-                  {"direction", "pull"},
-                  {"result", "ok"}})
-          .increment();
-      m->histogram("unicore_xfer_transfer_seconds", labels,
-                   obs::latency_buckets())
-          .observe(sim::to_seconds(stats_.finished_at - stats_.started_at));
-    }
-    done_cb_(PullResult{std::move(blob), stats_});
-  }
-
-  void fail(util::Error error) {
-    finished_ = true;
-    if (auto* m = mgr_.metrics()) {
-      m->gauge("unicore_xfer_active_transfers", site_labels(mgr_, "pull"))
-          .add(-1);
-      m->counter("unicore_xfer_transfers_total",
-                 {{"usite", mgr_.site()},
-                  {"direction", "pull"},
-                  {"result", "error"}})
-          .increment();
-    }
-    done_cb_(std::move(error));
-  }
-
-  TransferManager& mgr_;
-  std::shared_ptr<ChunkTransport> transport_;
-  PullSpec spec_;
-  TransferOptions options_;
-  std::function<void(util::Result<PullResult>)> done_cb_;
-
-  std::uint64_t transfer_id_ = 0;
-  std::optional<Assembly> assembly_;
-  std::vector<std::uint64_t> queue_;
-  std::size_t pos_ = 0;
-  std::uint32_t inflight_ = 0;
-  std::size_t next_stream_ = 0;
-  std::map<std::uint64_t, int> chunk_attempts_;
-  int resume_attempts_ = 0;
-  std::uint64_t generation_ = 0;
-  bool finished_ = false;
-  TransferStats stats_;
-};
+/// A chunk size a receiver could have negotiated. Anything else would
+/// make the local bitmaps degenerate (zero chunks) or enormous.
+bool plausible_chunk_bytes(std::uint32_t chunk_bytes) {
+  return chunk_bytes >= kMinChunkBytes && chunk_bytes <= kMaxChunkBytes;
+}
 
 // ---- bundle push -----------------------------------------------------------
 
@@ -626,12 +117,20 @@ class BundlePushRun : public std::enable_shared_from_this<BundlePushRun> {
       if (util::is_retryable(reply.error().code))
         resume("bundle open failed: " + reply.error().to_string());
       else
-        fail(reply.error());  // incl. kFailedPrecondition from a v1 peer:
-                              // the per-file fallback belongs to the caller
+        fail(reply.error());
       return;
     }
-    util::ByteReader r{reply.value()};
-    BundleOpenReply open = BundleOpenReply::decode(r);
+    std::optional<BundleOpenReply> decoded =
+        decode_reply<BundleOpenReply>(reply.value());
+    if (!decoded) {
+      fail(malformed_reply());
+      return;
+    }
+    BundleOpenReply& open = *decoded;
+    if (!plausible_chunk_bytes(open.chunk_bytes)) {
+      fail(malformed_reply());
+      return;
+    }
     if (open.files.size() != files_.size()) {
       fail(make_error(ErrorCode::kInternal,
                       "bundle open reply file count mismatch"));
@@ -713,10 +212,14 @@ class BundlePushRun : public std::enable_shared_from_this<BundlePushRun> {
         fail(reply.error());
       return;
     }
-    util::ByteReader r{reply.value()};
-    PushChunkReply ack = PushChunkReply::decode(r);
-    credit_ = ack.credit;
-    if (!ack.applied) ++stats_.duplicates;
+    std::optional<PushChunkReply> ack =
+        decode_reply<PushChunkReply>(reply.value());
+    if (!ack) {
+      fail(malformed_reply());
+      return;
+    }
+    credit_ = ack->credit;
+    if (!ack->applied) ++stats_.duplicates;
     acked_[id.first].set(id.second);
     if (all_acked() && inflight_ == 0)
       send_close();  // wait for stragglers: a post-close ack would 404
@@ -905,11 +408,33 @@ class BundlePullRun : public std::enable_shared_from_this<BundlePullRun> {
         fail(reply.error());
       return;
     }
-    util::ByteReader r{reply.value()};
-    BundlePullOpenReply open = BundlePullOpenReply::decode(r);
+    std::optional<BundlePullOpenReply> decoded =
+        decode_reply<BundlePullOpenReply>(reply.value());
+    if (!decoded) {
+      fail(malformed_reply());
+      return;
+    }
+    BundlePullOpenReply& open = *decoded;
+    if (open.inlined && spec_.names.size() == 1) {
+      stats_.inlined = 1;
+      stats_.bytes = open.blob.size();
+      BundlePullResult result;
+      result.blobs.push_back(std::move(open.blob));
+      finish_with(std::move(result));
+      return;
+    }
     if (open.files.size() != spec_.names.size()) {
       fail(make_error(ErrorCode::kInternal,
                       "bundle open reply file count mismatch"));
+      return;
+    }
+    // The declared sizes size the local bitmaps: bound them first.
+    std::uint64_t chunks = 0;
+    for (const BundlePullFileInfo& info : open.files)
+      chunks += std::min(chunk_count(info.size, open.chunk_bytes),
+                         kMaxBundleChunks + 1);
+    if (!plausible_chunk_bytes(open.chunk_bytes) || chunks > kMaxBundleChunks) {
+      fail(malformed_reply());
       return;
     }
     transfer_id_ = open.transfer_id;
@@ -936,8 +461,8 @@ class BundlePullRun : public std::enable_shared_from_this<BundlePullRun> {
     queue_.clear();
     for (std::uint32_t i = 0; i < assemblies_.size(); ++i) {
       // The per-file manifests let the local store satisfy warm chunks
-      // before anything crosses the wire — the pull-path dedup the
-      // single-file path only gained via PullOpenReply::digests.
+      // before anything crosses the wire (re-checked on every resume:
+      // the store may have gained chunks since).
       if (spec_.store != nullptr && !open.files[i].digests.empty() &&
           !assemblies_[i].complete())
         stats_.deduped += assemblies_[i].satisfy_from_store(
@@ -999,9 +524,12 @@ class BundlePullRun : public std::enable_shared_from_this<BundlePullRun> {
         fail(reply.error());
       return;
     }
-    util::ByteReader r{reply.value()};
-    Chunk chunk = Chunk::decode(r);
-    util::Status accepted = assemblies_[id.first].accept(chunk);
+    std::optional<Chunk> chunk = decode_reply<Chunk>(reply.value());
+    if (!chunk) {
+      fail(malformed_reply());
+      return;
+    }
+    util::Status accepted = assemblies_[id.first].accept(*chunk);
     if (!accepted.ok()) {
       retry_chunk(id);  // corrupt ≈ transient at this layer (bounded)
       return;
@@ -1011,7 +539,7 @@ class BundlePullRun : public std::enable_shared_from_this<BundlePullRun> {
       auto labels = site_labels(mgr_, "pull");
       m->counter("unicore_xfer_chunks_total", labels).increment();
       m->counter("unicore_xfer_bytes_total", labels)
-          .add(static_cast<double>(chunk.length));
+          .add(static_cast<double>(chunk->length));
     }
     if (all_complete() && inflight_ == 0)
       finish_assembled();
@@ -1086,6 +614,10 @@ class BundlePullRun : public std::enable_shared_from_this<BundlePullRun> {
       }
       result.blobs.push_back(std::move(blob).value());
     }
+    finish_with(std::move(result));
+  }
+
+  void finish_with(BundlePullResult result) {
     stats_.finished_at = mgr_.engine().now();
     finished_ = true;
     if (auto* m = mgr_.metrics()) {
@@ -1151,25 +683,6 @@ void merge_bundle_stats(BundleStats& into, const BundleStats& slice) {
 }
 
 }  // namespace
-
-void TransferManager::push(
-    std::shared_ptr<ChunkTransport> transport, const PushSpec& spec,
-    std::shared_ptr<const uspace::FileBlob> blob,
-    const TransferOptions& options,
-    std::function<void(util::Result<TransferStats>)> done) {
-  auto run = std::make_shared<PushRun>(*this, std::move(transport), spec,
-                                       std::move(blob), options,
-                                       std::move(done));
-  run->start();
-}
-
-void TransferManager::pull(std::shared_ptr<ChunkTransport> transport,
-                           const PullSpec& spec, const TransferOptions& options,
-                           std::function<void(util::Result<PullResult>)> done) {
-  auto run = std::make_shared<PullRun>(*this, std::move(transport), spec,
-                                       options, std::move(done));
-  run->start();
-}
 
 void TransferManager::push_bundle(
     std::shared_ptr<ChunkTransport> transport, const BundlePushSpec& spec,

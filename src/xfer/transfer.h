@@ -1,7 +1,8 @@
 // The sender/receiver-driver half of the chunked transfer engine: a
-// TransferManager that pushes a FileBlob to a remote Uspace, or pulls
-// one out of it, as independently acknowledged chunks striped over
-// parallel streams.
+// TransferManager that pushes files to a remote Uspace, or pulls them
+// out of it, as independently acknowledged chunks striped over parallel
+// streams. Every transfer is a bundle — a single file is a bundle of
+// one — so there is one open/chunk/close exchange for every size.
 //
 // The engine sits below the server layer, so it talks through an
 // abstract ChunkTransport: stream s, operation op, opaque body. The
@@ -16,7 +17,8 @@
 // transfer id — triggers a *resume*: re-open by durable key, learn
 // which chunks the receiver already journaled, and send only the rest.
 // Acknowledgements from before a resume carry a stale generation and
-// are ignored.
+// are ignored. A reply body that does not decode fails the transfer
+// once with kInvalidArgument.
 #pragma once
 
 #include <cstdint>
@@ -56,52 +58,7 @@ struct TransferOptions {
   int max_resume_attempts = 5;          // open/resume ladder
   int max_chunk_retries = 3;            // per-chunk retransmits before resume
   util::BackoffPolicy backoff;          // between resumes / retransmits
-  /// Pull only: ask the source to inline files at or below this size in
-  /// the open reply (single round trip, no chunk traffic).
-  std::uint32_t pull_inline_limit = 256 * 1024;
 };
-
-/// What one finished transfer did, for benches and metrics.
-struct TransferStats {
-  std::uint64_t bytes = 0;           // file size
-  std::uint64_t chunks = 0;          // chunks moved this run (not resumed-over)
-  std::uint64_t retransmits = 0;     // chunk-level retries
-  std::uint64_t duplicates = 0;      // chunks the receiver already had
-  std::uint64_t deduped = 0;         // pull: chunks satisfied from the local
-                                     // store via the open reply's manifest
-  std::uint64_t resumes = 0;         // re-opens after failure
-  std::uint64_t streams = 0;         // lanes actually used
-  bool inlined = false;              // pull satisfied in the open reply
-  sim::Time started_at = 0;
-  sim::Time finished_at = 0;
-};
-
-/// Identity of a push: where the file goes and where it comes from
-/// (the source label keys the durable transfer key, so the same file
-/// re-pushed from the same site resumes instead of restarting).
-struct PushSpec {
-  std::string source;  // sending Usite name (or "client")
-  ajo::JobToken token = 0;
-  std::string name;
-  Role role = Role::kPush;  // kPush (NJS–NJS) or kClientPush (staging)
-};
-
-struct PullSpec {
-  Role role = Role::kPeerPull;  // kPeerPull or kClientPull
-  ajo::JobToken token = 0;
-  std::string name;
-  /// Optional local chunk store: chunks the open reply's digest
-  /// manifest says we already hold are satisfied without a request
-  /// (the pull-path mirror of the push-open dedup).
-  std::shared_ptr<store::ChunkStore> store;
-};
-
-struct PullResult {
-  uspace::FileBlob blob;
-  TransferStats stats;
-};
-
-// ---- bundles ---------------------------------------------------------------
 
 /// One file of a bundle push.
 struct BundleFile {
@@ -109,8 +66,11 @@ struct BundleFile {
   std::shared_ptr<const uspace::FileBlob> blob;
 };
 
+/// Identity of a push: where the files go and where they come from
+/// (the source label keys the durable bundle key, so the same files
+/// re-pushed from the same site resume instead of restarting).
 struct BundlePushSpec {
-  std::string source;  // sending Usite name (or "client")
+  std::string source;  // sending Usite name (or "client:<cn>")
   ajo::JobToken token = 0;
   Role role = Role::kPush;  // kPush or kClientPush
 };
@@ -119,19 +79,22 @@ struct BundlePullSpec {
   Role role = Role::kPeerPull;  // kPeerPull or kClientPull
   ajo::JobToken token = 0;
   std::vector<std::string> names;
-  /// Optional local chunk store, as in PullSpec.
+  /// Optional local chunk store: chunks the open reply's digest
+  /// manifests say we already hold are satisfied without a request
+  /// (the pull-path mirror of the push-open dedup).
   std::shared_ptr<store::ChunkStore> store;
 };
 
-/// What a bundle transfer (one or more wire bundles) did.
+/// What a transfer (one or more wire bundles) did.
 struct BundleStats {
   std::uint64_t files = 0;
   std::uint64_t bytes = 0;
-  std::uint64_t chunks = 0;       // chunks moved this run
+  std::uint64_t chunks = 0;       // chunks moved this run (not resumed-over)
   std::uint64_t deduped = 0;      // chunks the open round trip settled
   std::uint64_t duplicates = 0;   // chunks the receiver already had
-  std::uint64_t retransmits = 0;
-  std::uint64_t resumes = 0;
+  std::uint64_t retransmits = 0;  // chunk-level retries
+  std::uint64_t resumes = 0;      // re-opens after failure
+  std::uint64_t inlined = 0;      // pull: files returned in the open reply
   std::uint64_t bundles = 0;      // wire bundles (tree calls may slice)
   std::uint64_t streams = 0;
   sim::Time started_at = 0;
@@ -162,22 +125,11 @@ class TransferManager {
   sim::Engine& engine() const { return engine_; }
   util::Rng& rng() const { return rng_; }
 
-  /// Streams `blob` into job `spec.token`'s Uspace on the peer behind
-  /// `transport`. The callback fires exactly once.
-  void push(std::shared_ptr<ChunkTransport> transport, const PushSpec& spec,
-            std::shared_ptr<const uspace::FileBlob> blob,
-            const TransferOptions& options,
-            std::function<void(util::Result<TransferStats>)> done);
-
-  /// Fetches `spec.name` from job `spec.token`'s Uspace on the peer.
-  void pull(std::shared_ptr<ChunkTransport> transport, const PullSpec& spec,
-            const TransferOptions& options,
-            std::function<void(util::Result<PullResult>)> done);
-
-  /// Streams up to kMaxBundleFiles files in ONE bundle: one open whose
-  /// reply dedups the whole batch, interleaved chunks sharing one
-  /// credit window, one close. Fails with kInvalidArgument above the
-  /// cap — use push_tree for arbitrary counts.
+  /// Streams up to kMaxBundleFiles files into job `spec.token`'s Uspace
+  /// on the peer behind `transport` in ONE bundle: one open whose reply
+  /// dedups the whole batch, interleaved chunks sharing one credit
+  /// window, one close. Fails with kInvalidArgument above the cap — use
+  /// push_tree for arbitrary counts. The callback fires exactly once.
   void push_bundle(std::shared_ptr<ChunkTransport> transport,
                    const BundlePushSpec& spec, std::vector<BundleFile> files,
                    const TransferOptions& options,
@@ -192,7 +144,8 @@ class TransferManager {
 
   /// Fetches up to kMaxBundleFiles files in one bundle; the open
   /// reply's per-file digest manifests let `spec.store` satisfy warm
-  /// chunks locally before anything is requested.
+  /// chunks locally before anything is requested. A pull of exactly one
+  /// file of at most kPullInlineLimit bytes completes in the open reply.
   void pull_bundle(std::shared_ptr<ChunkTransport> transport,
                    const BundlePullSpec& spec, const TransferOptions& options,
                    std::function<void(util::Result<BundlePullResult>)> done);

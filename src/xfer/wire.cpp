@@ -82,19 +82,6 @@ Chunk make_chunk(const uspace::FileBlob& blob, std::uint64_t index,
   return chunk;
 }
 
-Bytes make_transfer_key(const std::string& source_usite, ajo::JobToken token,
-                        const std::string& name,
-                        const crypto::Digest& checksum, std::uint64_t size) {
-  ByteWriter w;
-  w.str("unicore-xfer-key");
-  w.str(source_usite);
-  w.u64(token);
-  w.str(name);
-  w.raw(checksum);
-  w.u64(size);
-  return crypto::digest_bytes(crypto::sha256(w.bytes()));
-}
-
 void encode_ranges(ByteWriter& w, const std::vector<ChunkRange>& ranges) {
   w.varint(ranges.size());
   for (const ChunkRange& range : ranges) {
@@ -104,9 +91,13 @@ void encode_ranges(ByteWriter& w, const std::vector<ChunkRange>& ranges) {
 }
 
 std::vector<ChunkRange> decode_ranges(ByteReader& r) {
+  // Counts read from the wire are capped before every reserve() in this
+  // file: each element takes at least one more byte, so a larger count
+  // is a lie the decode loop rejects — it must not become a huge
+  // allocation first.
   std::uint64_t n = r.varint();
   std::vector<ChunkRange> ranges;
-  ranges.reserve(n);
+  ranges.reserve(std::min<std::uint64_t>(n, r.remaining()));
   for (std::uint64_t i = 0; i < n; ++i) {
     ChunkRange range;
     range.first = r.u64();
@@ -114,177 +105,6 @@ std::vector<ChunkRange> decode_ranges(ByteReader& r) {
     ranges.push_back(range);
   }
   return ranges;
-}
-
-// ---- kXferOpen -------------------------------------------------------------
-
-Bytes PushOpenRequest::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(role));
-  w.blob(key);
-  w.u64(token);
-  w.str(name);
-  w.u64(size);
-  w.raw(checksum);
-  w.boolean(synthetic);
-  w.u32(proposed_chunk_bytes);
-  w.varint(digests.size());
-  for (const crypto::Digest& digest : digests) w.raw(digest);
-  return w.take();
-}
-
-PushOpenRequest PushOpenRequest::decode(Role role, ByteReader& r) {
-  PushOpenRequest request;
-  request.role = role;
-  request.key = r.blob();
-  request.token = r.u64();
-  request.name = r.str();
-  request.size = r.u64();
-  request.checksum = read_digest(r);
-  request.synthetic = r.boolean();
-  request.proposed_chunk_bytes = r.u32();
-  std::uint64_t n = r.varint();
-  request.digests.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) request.digests.push_back(read_digest(r));
-  return request;
-}
-
-Bytes PushOpenReply::encode() const {
-  ByteWriter w;
-  w.u64(transfer_id);
-  w.u32(chunk_bytes);
-  w.u32(credit);
-  encode_ranges(w, have);
-  return w.take();
-}
-
-PushOpenReply PushOpenReply::decode(ByteReader& r) {
-  PushOpenReply reply;
-  reply.transfer_id = r.u64();
-  reply.chunk_bytes = r.u32();
-  reply.credit = r.u32();
-  reply.have = decode_ranges(r);
-  return reply;
-}
-
-Bytes PullOpenRequest::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(role));
-  w.u64(token);
-  w.str(name);
-  w.u32(proposed_chunk_bytes);
-  w.u32(inline_limit);
-  return w.take();
-}
-
-PullOpenRequest PullOpenRequest::decode(Role role, ByteReader& r) {
-  PullOpenRequest request;
-  request.role = role;
-  request.token = r.u64();
-  request.name = r.str();
-  request.proposed_chunk_bytes = r.u32();
-  request.inline_limit = r.u32();
-  return request;
-}
-
-Bytes PullOpenReply::encode() const {
-  ByteWriter w;
-  w.boolean(inline_blob);
-  if (inline_blob) {
-    blob.encode(w);
-    return w.take();
-  }
-  w.u64(transfer_id);
-  w.u32(chunk_bytes);
-  w.u64(size);
-  w.raw(checksum);
-  w.boolean(synthetic);
-  w.varint(digests.size());
-  for (const crypto::Digest& digest : digests) w.raw(digest);
-  return w.take();
-}
-
-PullOpenReply PullOpenReply::decode(ByteReader& r) {
-  PullOpenReply reply;
-  reply.inline_blob = r.boolean();
-  if (reply.inline_blob) {
-    reply.blob = uspace::FileBlob::decode(r);
-    return reply;
-  }
-  reply.transfer_id = r.u64();
-  reply.chunk_bytes = r.u32();
-  reply.size = r.u64();
-  reply.checksum = read_digest(r);
-  reply.synthetic = r.boolean();
-  std::uint64_t n = r.varint();
-  reply.digests.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) reply.digests.push_back(read_digest(r));
-  return reply;
-}
-
-// ---- kXferChunk ------------------------------------------------------------
-
-Bytes PushChunkRequest::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(role));
-  w.u64(transfer_id);
-  chunk.encode(w);
-  return w.take();
-}
-
-PushChunkRequest PushChunkRequest::decode(ByteReader& r) {
-  PushChunkRequest request;
-  request.transfer_id = r.u64();
-  request.chunk = Chunk::decode(r);
-  return request;
-}
-
-Bytes PushChunkReply::encode() const {
-  ByteWriter w;
-  w.boolean(applied);
-  w.u32(credit);
-  return w.take();
-}
-
-PushChunkReply PushChunkReply::decode(ByteReader& r) {
-  PushChunkReply reply;
-  reply.applied = r.boolean();
-  reply.credit = r.u32();
-  return reply;
-}
-
-Bytes PullChunkRequest::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(role));
-  w.u64(transfer_id);
-  w.u64(index);
-  return w.take();
-}
-
-PullChunkRequest PullChunkRequest::decode(Role role, ByteReader& r) {
-  PullChunkRequest request;
-  request.role = role;
-  request.transfer_id = r.u64();
-  request.index = r.u64();
-  return request;
-}
-
-// ---- kXferClose ------------------------------------------------------------
-
-Bytes CloseRequest::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(role));
-  w.u64(transfer_id);
-  if (role_is_push(role)) w.blob(key);
-  return w.take();
-}
-
-CloseRequest CloseRequest::decode(Role role, ByteReader& r) {
-  CloseRequest request;
-  request.role = role;
-  request.transfer_id = r.u64();
-  if (role_is_push(role)) request.key = r.blob();
-  return request;
 }
 
 // ---- kXferBundleOpen -------------------------------------------------------
@@ -305,7 +125,7 @@ BundleFileEntry BundleFileEntry::decode(ByteReader& r) {
   entry.checksum = read_digest(r);
   entry.synthetic = r.boolean();
   std::uint64_t n = r.varint();
-  entry.digests.reserve(n);
+  entry.digests.reserve(std::min<std::uint64_t>(n, r.remaining()));
   for (std::uint64_t i = 0; i < n; ++i) entry.digests.push_back(read_digest(r));
   return entry;
 }
@@ -327,7 +147,7 @@ BundleOpenRequest BundleOpenRequest::decode(ByteReader& r) {
   request.token = r.u64();
   request.proposed_chunk_bytes = r.u32();
   std::uint64_t n = r.varint();
-  request.files.reserve(n);
+  request.files.reserve(std::min<std::uint64_t>(n, r.remaining()));
   for (std::uint64_t i = 0; i < n; ++i)
     request.files.push_back(BundleFileEntry::decode(r));
   return request;
@@ -361,28 +181,10 @@ BundleOpenReply BundleOpenReply::decode(ByteReader& r) {
   reply.chunk_bytes = r.u32();
   reply.credit = r.u32();
   std::uint64_t n = r.varint();
-  reply.files.reserve(n);
+  reply.files.reserve(std::min<std::uint64_t>(n, r.remaining()));
   for (std::uint64_t i = 0; i < n; ++i)
     reply.files.push_back(BundleFileState::decode(r));
   return reply;
-}
-
-Bytes BundleChunkRequest::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(role));
-  w.u64(transfer_id);
-  w.u32(file_index);
-  chunk.encode(w);
-  return w.take();
-}
-
-BundleChunkRequest BundleChunkRequest::decode(std::uint64_t transfer_id,
-                                              ByteReader& r) {
-  BundleChunkRequest request;
-  request.transfer_id = transfer_id;
-  request.file_index = r.u32();
-  request.chunk = Chunk::decode(r);
-  return request;
 }
 
 Bytes BundlePullOpenRequest::encode() const {
@@ -401,7 +203,7 @@ BundlePullOpenRequest BundlePullOpenRequest::decode(Role role, ByteReader& r) {
   request.token = r.u64();
   request.proposed_chunk_bytes = r.u32();
   std::uint64_t n = r.varint();
-  request.names.reserve(n);
+  request.names.reserve(std::min<std::uint64_t>(n, r.remaining()));
   for (std::uint64_t i = 0; i < n; ++i) request.names.push_back(r.str());
   return request;
 }
@@ -420,13 +222,18 @@ BundlePullFileInfo BundlePullFileInfo::decode(ByteReader& r) {
   info.checksum = read_digest(r);
   info.synthetic = r.boolean();
   std::uint64_t n = r.varint();
-  info.digests.reserve(n);
+  info.digests.reserve(std::min<std::uint64_t>(n, r.remaining()));
   for (std::uint64_t i = 0; i < n; ++i) info.digests.push_back(read_digest(r));
   return info;
 }
 
 Bytes BundlePullOpenReply::encode() const {
   ByteWriter w;
+  w.boolean(inlined);
+  if (inlined) {
+    blob.encode(w);
+    return w.take();
+  }
   w.u64(transfer_id);
   w.u32(chunk_bytes);
   w.varint(files.size());
@@ -436,12 +243,50 @@ Bytes BundlePullOpenReply::encode() const {
 
 BundlePullOpenReply BundlePullOpenReply::decode(ByteReader& r) {
   BundlePullOpenReply reply;
+  reply.inlined = r.boolean();
+  if (reply.inlined) {
+    reply.blob = uspace::FileBlob::decode(r);
+    return reply;
+  }
   reply.transfer_id = r.u64();
   reply.chunk_bytes = r.u32();
   std::uint64_t n = r.varint();
-  reply.files.reserve(n);
+  reply.files.reserve(std::min<std::uint64_t>(n, r.remaining()));
   for (std::uint64_t i = 0; i < n; ++i)
     reply.files.push_back(BundlePullFileInfo::decode(r));
+  return reply;
+}
+
+// ---- kXferChunk ------------------------------------------------------------
+
+Bytes BundleChunkRequest::encode() const {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(role));
+  w.u64(transfer_id);
+  w.u32(file_index);
+  chunk.encode(w);
+  return w.take();
+}
+
+BundleChunkRequest BundleChunkRequest::decode(ByteReader& r) {
+  BundleChunkRequest request;
+  request.transfer_id = r.u64();
+  request.file_index = r.u32();
+  request.chunk = Chunk::decode(r);
+  return request;
+}
+
+Bytes PushChunkReply::encode() const {
+  ByteWriter w;
+  w.boolean(applied);
+  w.u32(credit);
+  return w.take();
+}
+
+PushChunkReply PushChunkReply::decode(ByteReader& r) {
+  PushChunkReply reply;
+  reply.applied = r.boolean();
+  reply.credit = r.u32();
   return reply;
 }
 
@@ -455,11 +300,10 @@ Bytes BundlePullChunkRequest::encode() const {
 }
 
 BundlePullChunkRequest BundlePullChunkRequest::decode(Role role,
-                                                      std::uint64_t transfer_id,
                                                       ByteReader& r) {
   BundlePullChunkRequest request;
   request.role = role;
-  request.transfer_id = transfer_id;
+  request.transfer_id = r.u64();
   request.file_index = r.u32();
   request.index = r.u64();
   return request;

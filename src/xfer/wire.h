@@ -1,18 +1,20 @@
-// Wire framing of the chunked transfer protocol (kXferOpen /
-// kXferChunk / kXferClose).
+// Wire framing of the chunked transfer protocol: one open / chunk /
+// close family (kXferBundleOpen / kXferChunk / kXferBundleClose) that
+// moves any number of files — a single file is a bundle of one.
 //
 // The paper concedes that Uspace-to-Uspace transfer through one
 // NJS–NJS message "has disadvantages with respect to transfer rates
 // especially for huge data sets" (§5.6). This module defines the
-// request bodies of the replacement data plane: a transfer is opened
+// request bodies of the replacement data plane: a bundle is opened
 // with a durable identity key, its payload moves as independently
-// acknowledged chunks striped over parallel secure channels, and a
-// close verifies the whole-file digest before the blob becomes visible
+// acknowledged chunks striped over parallel secure channels, and every
+// file's whole-file digest is verified before the blob becomes visible
 // in the target Uspace.
 //
 // Every body starts with a Role byte so the gateway can pick the right
 // authentication path (server certificate for NJS–NJS push/pull, user
-// certificate for client output pulls) without parsing the rest.
+// certificate for client pulls and client staging) without parsing the
+// rest.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +30,11 @@ namespace unicore::xfer {
 
 /// The request kinds of the transfer protocol, abstracted from the
 /// server layer's RequestKind so this library stays below it.
+/// One open/close pair covers every file of a bundle; their chunks
+/// interleave over kChunk frames (docs/DATA.md §3). Values 1 and 3 were
+/// the retired single-file open/close.
 enum class Op : std::uint8_t {
-  kOpen = 1,
   kChunk = 2,
-  kClose = 3,
-  // Bundle transfers: one open/close pair covers many files whose
-  // chunks interleave over ordinary kChunk frames (docs/DATA.md §3).
   kBundleOpen = 4,
   kBundleClose = 5,
 };
@@ -61,11 +62,21 @@ constexpr bool role_is_push(Role role) {
 /// open-reply bodies and per-bundle journal records bounded.
 constexpr std::uint32_t kMaxBundleFiles = 4096;
 
+/// Most chunks one bundle may span, summed over its files. It bounds
+/// the bitmaps a receiver or puller allocates for a manifest that came
+/// off the wire (2^24 chunks: 1 TiB at the minimum chunk size).
+constexpr std::uint64_t kMaxBundleChunks = 1ull << 24;
+
 /// Chunk-size negotiation bounds. The receiver clamps the sender's
 /// proposal into [kMinChunkBytes, kMaxChunkBytes].
 constexpr std::uint32_t kMinChunkBytes = 64 * 1024;
 constexpr std::uint32_t kMaxChunkBytes = 8 * 1024 * 1024;
 constexpr std::uint32_t kDefaultChunkBytes = 1024 * 1024;
+
+/// A pull naming exactly one file of at most this many bytes gets the
+/// file inline in the open reply: one round trip, no chunk traffic (the
+/// stdout/stderr fast path).
+constexpr std::uint32_t kPullInlineLimit = 256 * 1024;
 
 /// Number of chunks a file of `size` bytes splits into (one empty
 /// chunk for an empty file, so open/close still round-trip).
@@ -102,16 +113,6 @@ crypto::Digest synthetic_chunk_digest(const crypto::Digest& file_checksum,
 Chunk make_chunk(const uspace::FileBlob& blob, std::uint64_t index,
                  std::uint32_t chunk_bytes);
 
-/// The durable identity of one transfer: SHA-256 over (source site,
-/// target token, Uspace name, file checksum, file size). Stable across
-/// retries, reconnects, and sender or receiver crashes — it is what
-/// lets a resumed transfer find its half-finished manifest instead of
-/// starting over.
-util::Bytes make_transfer_key(const std::string& source_usite,
-                              ajo::JobToken token, const std::string& name,
-                              const crypto::Digest& checksum,
-                              std::uint64_t size);
-
 /// A run of already-applied chunks `[first, first + count)`, the
 /// resume state returned by a push open.
 struct ChunkRange {
@@ -123,110 +124,6 @@ struct ChunkRange {
 
 void encode_ranges(util::ByteWriter& w, const std::vector<ChunkRange>& ranges);
 std::vector<ChunkRange> decode_ranges(util::ByteReader& r);
-
-// ---- kXferOpen -------------------------------------------------------------
-
-struct PushOpenRequest {
-  Role role = Role::kPush;  // kPush or kClientPush
-  util::Bytes key;          // 32-byte transfer key
-  ajo::JobToken token = 0;
-  std::string name;
-  std::uint64_t size = 0;
-  crypto::Digest checksum{};
-  bool synthetic = false;
-  std::uint32_t proposed_chunk_bytes = kDefaultChunkBytes;
-  /// Per-chunk digests at proposed_chunk_bytes granularity (may be
-  /// empty). A receiver with a chunk store matches them against chunks
-  /// it already holds and reports the hits in PushOpenReply::have, so
-  /// the sender never transmits a byte the receiver can dedup. Only
-  /// meaningful when the receiver accepts the proposed chunk size.
-  std::vector<crypto::Digest> digests;
-
-  util::Bytes encode() const;  // includes the role byte
-  static PushOpenRequest decode(Role role, util::ByteReader& r);
-};
-
-struct PushOpenReply {
-  std::uint64_t transfer_id = 0;
-  std::uint32_t chunk_bytes = 0;
-  std::uint32_t credit = 0;  // how many chunks the receiver will buffer
-  std::vector<ChunkRange> have;  // chunks already journaled (resume)
-
-  util::Bytes encode() const;
-  static PushOpenReply decode(util::ByteReader& r);
-};
-
-struct PullOpenRequest {
-  Role role = Role::kPeerPull;  // kPeerPull or kClientPull
-  ajo::JobToken token = 0;
-  std::string name;
-  std::uint32_t proposed_chunk_bytes = kDefaultChunkBytes;
-  /// Files at or below this size come back inline in the open reply —
-  /// one round trip, no rails (the stdout/stderr fast path).
-  std::uint32_t inline_limit = 0;
-
-  util::Bytes encode() const;
-  static PullOpenRequest decode(Role role, util::ByteReader& r);
-};
-
-struct PullOpenReply {
-  bool inline_blob = false;
-  uspace::FileBlob blob;  // set when inline_blob
-  std::uint64_t transfer_id = 0;
-  std::uint32_t chunk_bytes = 0;
-  std::uint64_t size = 0;
-  crypto::Digest checksum{};
-  bool synthetic = false;
-  /// Per-chunk digests at chunk_bytes granularity (may be empty). A
-  /// puller with a chunk store satisfies matching chunks locally and
-  /// only requests the rest — the pull-path mirror of the push-open
-  /// dedup manifest.
-  std::vector<crypto::Digest> digests;
-
-  util::Bytes encode() const;
-  static PullOpenReply decode(util::ByteReader& r);
-};
-
-// ---- kXferChunk ------------------------------------------------------------
-
-struct PushChunkRequest {
-  Role role = Role::kPush;  // kPush or kClientPush
-  std::uint64_t transfer_id = 0;
-  Chunk chunk;
-
-  util::Bytes encode() const;
-  static PushChunkRequest decode(util::ByteReader& r);  // after the role byte
-};
-
-struct PushChunkReply {
-  bool applied = false;  // false: duplicate, journaled earlier
-  std::uint32_t credit = 0;
-
-  util::Bytes encode() const;
-  static PushChunkReply decode(util::ByteReader& r);
-};
-
-struct PullChunkRequest {
-  Role role = Role::kPeerPull;
-  std::uint64_t transfer_id = 0;
-  std::uint64_t index = 0;
-
-  util::Bytes encode() const;
-  static PullChunkRequest decode(Role role, util::ByteReader& r);
-};
-// A pull chunk reply is a bare Chunk::encode body.
-
-// ---- kXferClose ------------------------------------------------------------
-
-struct CloseRequest {
-  Role role = Role::kPush;
-  std::uint64_t transfer_id = 0;
-  util::Bytes key;  // push only: identifies the transfer across crashes
-
-  util::Bytes encode() const;
-  static CloseRequest decode(Role role, util::ByteReader& r);
-};
-// Close replies carry no payload; errors travel in the envelope.
 
 // ---- kXferBundleOpen -------------------------------------------------------
 //
@@ -244,7 +141,10 @@ struct BundleFileEntry {
   crypto::Digest checksum{};
   bool synthetic = false;
   /// Per-chunk digests at the bundle's proposed_chunk_bytes (may be
-  /// empty). Same dedup contract as PushOpenRequest::digests.
+  /// empty). A receiver with a chunk store matches them against chunks
+  /// it already holds and reports the hits in the reply's have-ranges,
+  /// so the sender never transmits a byte the receiver can dedup. Only
+  /// meaningful when the receiver accepts the proposed chunk size.
   std::vector<crypto::Digest> digests;
 
   void encode(util::ByteWriter& w) const;
@@ -283,25 +183,10 @@ struct BundleOpenReply {
   static BundleOpenReply decode(util::ByteReader& r);
 };
 
-/// A bundle chunk rides the ordinary kXferChunk frame; the receiver
-/// tells bundles from single-file transfers by the transfer_id (both
-/// draw ids from one counter). file_index selects the bundle entry.
-struct BundleChunkRequest {
-  Role role = Role::kPush;  // kPush or kClientPush
-  std::uint64_t transfer_id = 0;
-  std::uint32_t file_index = 0;
-  Chunk chunk;
-
-  util::Bytes encode() const;
-  static BundleChunkRequest decode(std::uint64_t transfer_id,
-                                   util::ByteReader& r);
-};
-// Bundle chunk replies reuse PushChunkReply.
-
-/// Pull-side bundle open: name the files, get back each one's identity
-/// AND its chunk digests — the manifest negotiation the single-file
-/// pull path lacks, letting the puller's chunk store satisfy warm
-/// chunks locally before requesting anything.
+/// Pull-side open (kXferBundleOpen with a pull role): name the files,
+/// get back each one's identity AND its chunk digests, letting the
+/// puller's chunk store satisfy warm chunks locally before requesting
+/// anything.
 struct BundlePullOpenRequest {
   Role role = Role::kPeerPull;  // kPeerPull or kClientPull
   ajo::JobToken token = 0;
@@ -324,6 +209,11 @@ struct BundlePullFileInfo {
 };
 
 struct BundlePullOpenReply {
+  /// Set when the pull named exactly one file of at most
+  /// kPullInlineLimit bytes: `blob` is the file and nothing else
+  /// follows (no transfer id, no chunk traffic, no close).
+  bool inlined = false;
+  uspace::FileBlob blob;
   std::uint64_t transfer_id = 0;
   std::uint32_t chunk_bytes = 0;
   std::vector<BundlePullFileInfo> files;  // aligned with request names
@@ -332,6 +222,28 @@ struct BundlePullOpenReply {
   static BundlePullOpenReply decode(util::ByteReader& r);
 };
 
+// ---- kXferChunk ------------------------------------------------------------
+
+/// One pushed chunk. file_index selects the bundle entry.
+struct BundleChunkRequest {
+  Role role = Role::kPush;  // kPush or kClientPush
+  std::uint64_t transfer_id = 0;
+  std::uint32_t file_index = 0;
+  Chunk chunk;
+
+  util::Bytes encode() const;
+  static BundleChunkRequest decode(util::ByteReader& r);  // after the role byte
+};
+
+struct PushChunkReply {
+  bool applied = false;  // false: duplicate, journaled earlier
+  std::uint32_t credit = 0;
+
+  util::Bytes encode() const;
+  static PushChunkReply decode(util::ByteReader& r);
+};
+
+/// One pulled-chunk request.
 struct BundlePullChunkRequest {
   Role role = Role::kPeerPull;
   std::uint64_t transfer_id = 0;
@@ -339,10 +251,9 @@ struct BundlePullChunkRequest {
   std::uint64_t index = 0;
 
   util::Bytes encode() const;
-  static BundlePullChunkRequest decode(Role role, std::uint64_t transfer_id,
-                                       util::ByteReader& r);
+  static BundlePullChunkRequest decode(Role role, util::ByteReader& r);
 };
-// A bundle pull chunk reply is a bare Chunk::encode body.
+// A pull chunk reply is a bare Chunk::encode body.
 
 // ---- kXferBundleClose ------------------------------------------------------
 
@@ -358,8 +269,9 @@ struct BundleCloseRequest {
 
 /// The durable identity of one bundle: SHA-256 over (source site,
 /// target token, each file's name/checksum/size). Stable across
-/// retries and crashes, like make_transfer_key, and distinct from any
-/// single-file key by domain separation.
+/// retries, reconnects, and sender or receiver crashes — it is what
+/// lets a resumed bundle find its half-finished manifest instead of
+/// starting over.
 util::Bytes make_bundle_key(const std::string& source_usite,
                             ajo::JobToken token,
                             const std::vector<BundleFileEntry>& files);

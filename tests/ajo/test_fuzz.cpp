@@ -7,11 +7,16 @@
 #include "ajo/generator.h"
 #include "ajo/job.h"
 #include "ajo/outcome.h"
+#include "ajo/tasks.h"
 #include "asn1/der.h"
+#include "batch/target_system.h"
 #include "crypto/x509.h"
+#include "njs/njs.h"
 #include "resources/resource_page.h"
 #include "uspace/blob.h"
 #include "util/rng.h"
+#include "xfer/manifest.h"
+#include "xfer/service.h"
 
 namespace unicore {
 namespace {
@@ -89,6 +94,259 @@ TEST_P(DecoderFuzz, TruncatedValidWireAlwaysRejected) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecoderFuzz,
                          ::testing::Range<std::uint64_t>(0, 8));
+
+// ---- the chunked transfer protocol -----------------------------------------
+//
+// Request bodies of kinds 16/24/25 enter the way the NJS dispatcher
+// enters them: the role byte comes off the front and the handler runs
+// inside the dispatcher's catch of std::out_of_range — any other
+// exception, or a sanitizer report, fails the run. Reply bodies are
+// decoded the way the transfer engine decodes them, and journal records
+// 10–12 go through recover_bundles and the service's handoff fold.
+
+constexpr std::int64_t kEpoch = 935'536'000;
+
+crypto::DistinguishedName fuzz_dn(const std::string& cn) {
+  crypto::DistinguishedName out;
+  out.country = "DE";
+  out.common_name = cn;
+  return out;
+}
+
+/// One NJS with a transfer receiver and a finished job whose Uspace the
+/// fuzzed requests target (so valid encodings reach deep code paths).
+struct XferFuzzSite {
+  sim::Engine engine;
+  util::Rng rng{31};
+  crypto::CertificateAuthority ca{fuzz_dn("CA"), rng, kEpoch,
+                                  10LL * 365 * 86'400};
+  crypto::Credential server_cred = ca.issue_credential(
+      fuzz_dn("njs"), rng, kEpoch, 365 * 86'400,
+      crypto::kUsageServerAuth | crypto::kUsageDigitalSignature);
+  crypto::Credential user_cred = ca.issue_credential(
+      fuzz_dn("Jane"), rng, kEpoch, 365 * 86'400,
+      crypto::kUsageClientAuth | crypto::kUsageDigitalSignature);
+  njs::Njs njs{engine, util::Rng(32), "LRZ", server_cred};
+  xfer::Service service{engine, njs};
+  ajo::JobToken token = 0;
+
+  XferFuzzSite() {
+    njs.set_journal(std::make_shared<njs::Journal>(
+        std::make_shared<njs::MemoryJournalStore>()));
+    njs.add_crash_participant(&service);
+    njs::Njs::VsiteConfig config;
+    config.system = batch::make_cray_t3e("T3E", 8);
+    njs.add_vsite(std::move(config));
+    ajo::AbstractJobObject job;
+    job.set_name("target");
+    job.vsite = "T3E";
+    job.user = fuzz_dn("Jane");
+    auto task = std::make_unique<ajo::ExecuteScriptTask>();
+    task->set_name("t");
+    task->script = "true\n";
+    task->set_resource_request({1, 600, 64, 0, 8});
+    task->behavior.nominal_seconds = 1;
+    job.add(std::move(task));
+    gateway::AuthenticatedUser user{fuzz_dn("Jane"), "ucjane", {"g"}};
+    token = njs.consign(job, user, user_cred.certificate).value();
+    engine.run();
+    (void)njs.deliver_file(token, "small.out",
+                           uspace::FileBlob::from_string("tiny"));
+    (void)njs.deliver_file(token, "big.out",
+                           uspace::FileBlob::synthetic(1 << 20, 7));
+  }
+
+  /// Runs one request body through a handler behind the dispatcher's
+  /// catch; the reply body (if any) goes through the reply decoder.
+  void dispatch(xfer::Op op, const util::Bytes& body, bool server_peer) {
+    try {
+      util::ByteReader r{body};
+      auto role = static_cast<xfer::Role>(r.u8());
+      const crypto::DistinguishedName principal =
+          server_peer ? fuzz_dn("peer-njs") : fuzz_dn("Jane");
+      util::Result<util::Bytes> reply = util::Bytes{};
+      switch (op) {
+        case xfer::Op::kBundleOpen:
+          reply = service.bundle_open(principal, server_peer, role, r);
+          break;
+        case xfer::Op::kChunk:
+          reply = service.chunk(principal, server_peer, role, r);
+          break;
+        case xfer::Op::kBundleClose:
+          reply = service.bundle_close(principal, server_peer, role, r);
+          break;
+      }
+      if (reply.ok()) decode_replies(reply.value());
+    } catch (const std::out_of_range&) {
+      // The dispatcher answers "malformed NJS request".
+    }
+  }
+
+  /// Every reply decoder must reject any byte string gracefully.
+  static void decode_replies(const util::Bytes& body) {
+    auto attempt = [&body](auto decode) {
+      try {
+        util::ByteReader r{body};
+        (void)decode(r);
+      } catch (const std::out_of_range&) {
+      }
+    };
+    attempt([](util::ByteReader& r) { return xfer::BundleOpenReply::decode(r); });
+    attempt([](util::ByteReader& r) {
+      return xfer::BundlePullOpenReply::decode(r);
+    });
+    attempt([](util::ByteReader& r) { return xfer::PushChunkReply::decode(r); });
+    attempt([](util::ByteReader& r) { return xfer::Chunk::decode(r); });
+  }
+
+  /// Valid request bodies of every kind and role, against live state.
+  std::vector<std::pair<xfer::Op, util::Bytes>> valid_requests() {
+    std::vector<std::pair<xfer::Op, util::Bytes>> out;
+    xfer::BundleOpenRequest open;
+    open.role = xfer::Role::kPush;
+    open.token = token;
+    open.proposed_chunk_bytes = xfer::kMinChunkBytes;
+    for (int i = 0; i < 2; ++i) {
+      uspace::FileBlob blob = uspace::FileBlob::synthetic(96 << 10, 40 + i);
+      xfer::BundleFileEntry entry;
+      entry.name = "in" + std::to_string(i);
+      entry.size = blob.size();
+      entry.checksum = blob.checksum();
+      entry.synthetic = true;
+      entry.digests = blob.chunk_digests(xfer::kMinChunkBytes);
+      open.files.push_back(entry);
+    }
+    open.key = xfer::make_bundle_key("FZ-Juelich", token, open.files);
+    out.emplace_back(xfer::Op::kBundleOpen, open.encode());
+
+    xfer::BundleChunkRequest chunk;
+    chunk.role = xfer::Role::kPush;
+    chunk.transfer_id = 1;  // the first bundle this service opens
+    chunk.file_index = 1;
+    chunk.chunk = xfer::make_chunk(uspace::FileBlob::synthetic(96 << 10, 41),
+                                   1, xfer::kMinChunkBytes);
+    out.emplace_back(xfer::Op::kChunk, chunk.encode());
+
+    xfer::BundleCloseRequest close;
+    close.role = xfer::Role::kPush;
+    close.transfer_id = 1;
+    close.key = open.key;
+    out.emplace_back(xfer::Op::kBundleClose, close.encode());
+
+    xfer::BundlePullOpenRequest pull;
+    pull.role = xfer::Role::kPeerPull;
+    pull.token = token;
+    pull.proposed_chunk_bytes = xfer::kMinChunkBytes;
+    pull.names = {"big.out", "small.out"};
+    out.emplace_back(xfer::Op::kBundleOpen, pull.encode());
+    pull.names = {"small.out"};  // inlined in the reply
+    out.emplace_back(xfer::Op::kBundleOpen, pull.encode());
+
+    xfer::BundlePullChunkRequest pull_chunk;
+    pull_chunk.role = xfer::Role::kPeerPull;
+    pull_chunk.transfer_id = 2;
+    pull_chunk.index = 3;
+    out.emplace_back(xfer::Op::kChunk, pull_chunk.encode());
+
+    close.role = xfer::Role::kPeerPull;
+    close.transfer_id = 2;
+    out.emplace_back(xfer::Op::kBundleClose, close.encode());
+    return out;
+  }
+};
+
+class XferDecoderFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(XferDecoderFuzz, RandomBodiesNeverCrashHandlers) {
+  XferFuzzSite site;
+  util::Rng rng(GetParam() ^ 0x1f1f);
+  const xfer::Op ops[] = {xfer::Op::kBundleOpen, xfer::Op::kChunk,
+                          xfer::Op::kBundleClose};
+  for (int i = 0; i < 200; ++i) {
+    util::Bytes junk = rng.bytes(1 + rng.below(200));
+    junk[0] = static_cast<std::uint8_t>(1 + rng.below(4));  // a real role
+    site.dispatch(ops[rng.below(3)], junk, rng.below(2) == 0);
+    XferFuzzSite::decode_replies(junk);
+  }
+  SUCCEED();
+}
+
+TEST_P(XferDecoderFuzz, MutatedValidBodiesHandledGracefully) {
+  XferFuzzSite site;
+  util::Rng rng(GetParam() ^ 0x2e2e);
+  for (int i = 0; i < 40; ++i) {
+    for (auto& [op, wire] : site.valid_requests()) {
+      util::Bytes mutated = wire;
+      int flips = 1 + static_cast<int>(rng.below(3));
+      for (int f = 0; f < flips; ++f)
+        mutated[1 + rng.below(mutated.size() - 1)] ^=
+            static_cast<std::uint8_t>(1 + rng.below(255));
+      if (rng.below(4) == 0)  // and sometimes a truncation
+        mutated.resize(1 + rng.below(mutated.size()));
+      site.dispatch(op, mutated, xfer::role_is_server_peer(
+                                     static_cast<xfer::Role>(mutated[0])));
+      // The unmutated body keeps the tables populated for the next
+      // round's mutations to hit.
+      site.dispatch(op, wire, xfer::role_is_server_peer(
+                                  static_cast<xfer::Role>(wire[0])));
+    }
+    if (i % 10 == 9) {  // drop the tables, as a crash does
+      site.njs.crash();
+      ASSERT_TRUE(site.njs.recover().ok());
+    }
+  }
+  SUCCEED();
+}
+
+TEST_P(XferDecoderFuzz, MutatedJournalRecordsNeverCrashRecovery) {
+  XferFuzzSite site;
+  util::Rng rng(GetParam() ^ 0x3d3d);
+  xfer::BundleManifest manifest;
+  uspace::FileBlob blob = uspace::FileBlob::from_string(std::string(300, 'j'));
+  manifest.files.push_back({"a.dat", blob.size(), blob.checksum(), false});
+  manifest.key = util::Bytes(32, 0x11);
+  manifest.token = site.token;
+  manifest.chunk_bytes = xfer::kMinChunkBytes;
+  manifest.principal = fuzz_dn("peer-njs");
+
+  // Valid records 10–12, as the receiver writes them.
+  auto scratch = std::make_shared<njs::MemoryJournalStore>();
+  njs::Journal valid{scratch};
+  xfer::journal_bundle_manifest(valid, manifest);
+  xfer::journal_bundle_chunk(valid, manifest, 0,
+                             xfer::make_chunk(blob, 0, xfer::kMinChunkBytes));
+  xfer::journal_bundle_done(valid, manifest);
+  std::vector<njs::JournalRecord> records;
+  valid.replay([&](const njs::JournalRecord& record) {
+    records.push_back(record);
+  });
+  ASSERT_EQ(records.size(), 3u);
+
+  for (int round = 0; round < 20; ++round) {
+    njs::Journal journal{std::make_shared<njs::MemoryJournalStore>()};
+    for (int i = 0; i < 30; ++i) {
+      njs::JournalRecord record = records[rng.below(records.size())];
+      if (rng.below(3) == 0) {
+        record.payload = rng.bytes(rng.below(120));
+      } else if (!record.payload.empty()) {
+        int flips = 1 + static_cast<int>(rng.below(3));
+        for (int f = 0; f < flips; ++f)
+          record.payload[rng.below(record.payload.size())] ^=
+              static_cast<std::uint8_t>(1 + rng.below(255));
+        if (rng.below(4) == 0)
+          record.payload.resize(rng.below(record.payload.size()));
+      }
+      journal.append(std::move(record));
+    }
+    (void)xfer::recover_bundles(journal);
+    (void)xfer::completed_bundle_keys(journal);
+    site.service.on_njs_adopt(journal);  // the handoff fold
+  }
+  SUCCEED();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, XferDecoderFuzz,
+                         ::testing::Range<std::uint64_t>(0, 4));
 
 }  // namespace
 }  // namespace unicore

@@ -256,7 +256,6 @@ TEST(Scaleout, HandoffUnderMidFlightChunkedTransfer) {
   ASSERT_EQ(njs::token_partition(receiver.value()), 1u);
   grid.engine().run();
 
-  fz.set_transfer_threshold(0);
   fz.set_transfer_streams(4);
   xfer::TransferOptions options = fz.transfer_options();
   options.backoff.initial_us = sim::msec(250);
@@ -274,9 +273,9 @@ TEST(Scaleout, HandoffUnderMidFlightChunkedTransfer) {
   auto blob = std::make_shared<const uspace::FileBlob>(
       uspace::FileBlob::synthetic(16 << 20, 19));
   std::optional<util::Status> done;
-  fz.deliver_file(njs::RemoteJobHandle{"RUKA", receiver.value()},
-                  "handoff.bin", blob,
-                  [&](util::Status status) { done = status; });
+  fz.deliver_files(njs::RemoteJobHandle{"RUKA", receiver.value()},
+                   {{"handoff.bin", blob}},
+                   [&](util::Status status) { done = status; });
   while (!done && grid.engine().step()) {
   }
   ASSERT_TRUE(done.has_value());

@@ -1,10 +1,10 @@
 // The chunked transfer engine end-to-end across two Usites and down to
 // the client: partition mid-kXferChunk, ack-loss bursts, a receiver
-// NJS crash between journal append and acknowledgement, the v1-peer
-// whole-blob fallback, and chunked client output fetches. The core
-// invariant throughout: a disturbed transfer resumes from the last
-// acked chunk, the delivered file's checksum matches the source, and
-// no chunk is ever applied twice.
+// NJS crash between journal append and acknowledgement, a peer without
+// the transfer features, and client output fetches. A single file is a
+// bundle of one. The core invariant throughout: a disturbed transfer
+// resumes from the last acked chunk, the delivered file's checksum
+// matches the source, and no chunk is ever applied twice.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -74,8 +74,8 @@ struct XferSites {
   util::Status deliver(const std::shared_ptr<const uspace::FileBlob>& blob,
                        const std::string& name) {
     std::optional<util::Status> out;
-    fz->deliver_file(njs::RemoteJobHandle{"RUKA", receiver}, name, blob,
-                     [&](util::Status status) { out = status; });
+    fz->deliver_files(njs::RemoteJobHandle{"RUKA", receiver}, {{name, blob}},
+                      [&](util::Status status) { out = status; });
     while (!out && grid.engine().step()) {
     }
     if (!out)
@@ -115,31 +115,31 @@ struct XferSites {
 
 TEST(XferIntegration, ChunkedDeliveryEndToEnd) {
   XferSites sites;
-  sites.fz->set_transfer_threshold(0);
   sites.fz->set_transfer_streams(4);
   auto blob = std::make_shared<const uspace::FileBlob>(
       uspace::FileBlob::synthetic(8 << 20, 11));
   ASSERT_TRUE(sites.deliver(blob, "result.bin").ok());
-  EXPECT_EQ(sites.fz->transfer_stats().chunked, 1u);
-  EXPECT_EQ(sites.fz->transfer_stats().legacy, 0u);
-  EXPECT_EQ(sites.ruka->xfer_service().transfers_completed(), 1u);
+  EXPECT_EQ(sites.fz->transfer_stats().bundled, 1u);
+  EXPECT_EQ(sites.fz->transfer_stats().whole_blob, 0u);
+  EXPECT_EQ(sites.ruka->xfer_service().bundles_completed(), 1u);
   EXPECT_EQ(sites.ruka->xfer_service().chunks_applied(), 8u);  // 1 MiB chunks
   EXPECT_EQ(sites.delivered_checksum("result.bin"), blob->checksum());
 }
 
 TEST(XferIntegration, SmallFilesStayOnTheLegacyPath) {
-  XferSites sites;  // default 4 MiB threshold
+  XferSites sites;
+  // One file under kWholeBlobLimit: a single whole-blob kDeliverFile
+  // beats the open/chunk/close round trips of a one-file bundle.
   auto blob = std::make_shared<const uspace::FileBlob>(
       uspace::FileBlob::synthetic(64 << 10, 12));
   ASSERT_TRUE(sites.deliver(blob, "small.bin").ok());
-  EXPECT_EQ(sites.fz->transfer_stats().legacy, 1u);
-  EXPECT_EQ(sites.fz->transfer_stats().chunked, 0u);
+  EXPECT_EQ(sites.fz->transfer_stats().whole_blob, 1u);
+  EXPECT_EQ(sites.fz->transfer_stats().bundled, 0u);
   EXPECT_EQ(sites.delivered_checksum("small.bin"), blob->checksum());
 }
 
 TEST(XferIntegration, PartitionMidTransferResumesFromLastAckedChunk) {
   XferSites sites;
-  sites.fz->set_transfer_threshold(0);
   sites.fz->set_transfer_streams(4);
   sites.snappy_sender();
 
@@ -163,7 +163,6 @@ TEST(XferIntegration, PartitionMidTransferResumesFromLastAckedChunk) {
 
 TEST(XferIntegration, AckLossBurstIsAnsweredAsDuplicates) {
   XferSites sites;
-  sites.fz->set_transfer_threshold(0);
   sites.fz->set_transfer_streams(2);
   sites.snappy_sender();
 
@@ -184,7 +183,6 @@ TEST(XferIntegration, AckLossBurstIsAnsweredAsDuplicates) {
 
 TEST(XferIntegration, ReceiverCrashBetweenJournalAndAckResumes) {
   XferSites sites;
-  sites.fz->set_transfer_threshold(0);
   sites.fz->set_transfer_streams(4);
   sites.snappy_sender();
 
@@ -201,7 +199,7 @@ TEST(XferIntegration, ReceiverCrashBetweenJournalAndAckResumes) {
       uspace::FileBlob::synthetic(16 << 20, 15));
   util::Status status = sites.deliver(blob, "crashy.bin");
   ASSERT_TRUE(status.ok()) << status.error().to_string();
-  EXPECT_EQ(sites.ruka->xfer_service().transfers_recovered(), 1u);
+  EXPECT_EQ(sites.ruka->xfer_service().bundles_recovered(), 1u);
   // The applied counter survives the crash: exactly one application per
   // chunk across the whole disturbed transfer.
   EXPECT_EQ(sites.ruka->xfer_service().chunks_applied(), 16u);
@@ -210,7 +208,6 @@ TEST(XferIntegration, ReceiverCrashBetweenJournalAndAckResumes) {
 
 TEST(XferIntegration, DedupWarmRestageMovesZeroPayloadChunks) {
   XferSites sites;
-  sites.fz->set_transfer_threshold(0);
   sites.fz->set_transfer_streams(4);
 
   auto blob = std::make_shared<const uspace::FileBlob>(
@@ -218,8 +215,8 @@ TEST(XferIntegration, DedupWarmRestageMovesZeroPayloadChunks) {
   ASSERT_TRUE(sites.deliver(blob, "cold.bin").ok());
   EXPECT_EQ(sites.ruka->xfer_service().chunks_applied(), 8u);
 
-  // Same content under a different name: a different durable transfer
-  // key, so this is NOT the completed-transfer tombstone — the digest
+  // Same content under a different name: a different durable bundle
+  // key, so this is NOT the committed-bundle tombstone — the digest
   // manifest in the open lets RUKA ack every chunk straight out of its
   // content-addressed store. Zero payload chunks cross the wire.
   ASSERT_TRUE(sites.deliver(blob, "warm.bin").ok());
@@ -235,7 +232,6 @@ TEST(XferIntegration, DedupWarmRestageMovesZeroPayloadChunks) {
 
 TEST(XferIntegration, PartitionResumeLandsInStoreWithExactRefcounts) {
   XferSites sites;
-  sites.fz->set_transfer_threshold(0);
   sites.fz->set_transfer_streams(4);
   sites.snappy_sender();
 
@@ -258,20 +254,38 @@ TEST(XferIntegration, PartitionResumeLandsInStoreWithExactRefcounts) {
   EXPECT_EQ(sites.ruka->chunk_store()->stats().total_refs, refs_before + 16);
 }
 
-TEST(XferIntegration, V1PeerFallsBackToWholeBlobDelivery) {
+TEST(XferIntegration, PeerWithoutTransferFeaturesFailsWithoutFallback) {
   XferSites sites;
-  // RUKA never advertises the chunked-transfer feature bit (a v1
-  // deployment); FZJ must detect that and use the legacy request even
-  // though its own threshold asks for the engine.
+  sites.snappy_sender();
+  // RUKA advertises neither transfer feature bit (an old deployment).
+  // There is one transfer path and no fallback: FZJ's delivery fails
+  // kFailedPrecondition as soon as the rail handshake settles, and no
+  // whole-blob request ever reaches RUKA.
   sites.ruka->set_advertised_features(net::kFeatureJournalInspect);
-  sites.fz->set_transfer_threshold(0);
   auto blob = std::make_shared<const uspace::FileBlob>(
       uspace::FileBlob::synthetic(8 << 20, 16));
-  ASSERT_TRUE(sites.deliver(blob, "legacy.bin").ok());
-  EXPECT_EQ(sites.fz->transfer_stats().legacy, 1u);
-  EXPECT_EQ(sites.fz->transfer_stats().chunked, 0u);
-  EXPECT_EQ(sites.ruka->xfer_service().transfers_completed(), 0u);
-  EXPECT_EQ(sites.delivered_checksum("legacy.bin"), blob->checksum());
+  sim::Time start = sites.grid.engine().now();
+  util::Status status = sites.deliver(blob, "refused.bin");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, util::ErrorCode::kFailedPrecondition);
+  EXPECT_LT(sites.grid.engine().now() - start, sim::sec(1));  // no retry ladder
+  EXPECT_EQ(sites.fz->transfer_stats().bundled, 1u);
+  EXPECT_EQ(sites.fz->transfer_stats().whole_blob, 0u);
+  EXPECT_EQ(sites.ruka->xfer_service().inbound_open(), 0u);
+  EXPECT_FALSE(
+      sites.ruka->njs().fetch_file_shared(sites.receiver, "refused.bin").ok());
+
+  // Fetches take the same single path and fail the same way.
+  std::optional<util::Result<std::vector<uspace::FileBlob>>> fetched;
+  sites.fz->fetch_files(
+      njs::RemoteJobHandle{"RUKA", sites.receiver}, {"stdout"},
+      [&](util::Result<std::vector<uspace::FileBlob>> r) { fetched = r; });
+  while (!fetched && sites.grid.engine().step()) {
+  }
+  ASSERT_TRUE(fetched.has_value());
+  ASSERT_FALSE(fetched->ok());
+  EXPECT_EQ(fetched->error().code, util::ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(sites.fz->transfer_stats().whole_blob, 0u);
 }
 
 TEST(XferIntegration, ClientFetchesLargeOutputChunked) {
@@ -295,22 +309,22 @@ TEST(XferIntegration, ClientFetchesLargeOutputChunked) {
   ASSERT_TRUE(token.ok()) << token.error().to_string();
   sites.grid.engine().run();
 
+  std::uint64_t before = sites.fz->xfer_service().chunks_applied();
   auto chunked = sync.fetch_output(token.value(), "field.out");
   ASSERT_TRUE(chunked.ok()) << chunked.error().to_string();
   EXPECT_EQ(chunked.value().size(), 8ull << 20);
-  EXPECT_EQ(chunked_client->output_stats().chunked, 1u);
-  EXPECT_EQ(chunked_client->output_stats().legacy, 0u);
+  EXPECT_EQ(sites.fz->xfer_service().chunks_applied(), before);  // a pull
+  sites.grid.engine().run();  // the best-effort close lands
+  EXPECT_EQ(sites.fz->xfer_service().outbound_open(), 0u);
 
-  // A streams=0 client takes the legacy whole-blob request and sees the
-  // same content.
-  auto legacy_client = sites.make_client(/*transfer_streams=*/0);
-  client::SyncClient legacy_sync(sites.grid.engine(), *legacy_client);
-  ASSERT_TRUE(legacy_sync.connect(sites.fz->address()).ok());
-  auto legacy = legacy_sync.fetch_output(token.value(), "field.out");
-  ASSERT_TRUE(legacy.ok()) << legacy.error().to_string();
-  EXPECT_EQ(legacy_client->output_stats().legacy, 1u);
-  EXPECT_EQ(legacy_client->output_stats().chunked, 0u);
-  EXPECT_EQ(legacy.value().checksum(), chunked.value().checksum());
+  // A streams=0 client has the session channel only — no extra rails —
+  // and fetches the same content through the same single path.
+  auto session_only = sites.make_client(/*transfer_streams=*/0);
+  client::SyncClient session_sync(sites.grid.engine(), *session_only);
+  ASSERT_TRUE(session_sync.connect(sites.fz->address()).ok());
+  auto same = session_sync.fetch_output(token.value(), "field.out");
+  ASSERT_TRUE(same.ok()) << same.error().to_string();
+  EXPECT_EQ(same.value().checksum(), chunked.value().checksum());
 }
 
 TEST(XferIntegration, SmallOutputInlinesWithoutChunkTraffic) {
@@ -331,13 +345,14 @@ TEST(XferIntegration, SmallOutputInlinesWithoutChunkTraffic) {
   ASSERT_TRUE(token.ok());
   sites.grid.engine().run();
 
-  // 1 KiB is far below the inline limit: the pull open returns the blob
-  // in one round trip — the engine is used, but no chunk requests cross
-  // the wire.
+  // 1 KiB is far below kPullInlineLimit: the pull open of a bundle of
+  // one returns the blob in one round trip — the engine is used, but no
+  // chunk requests cross the wire and no outbound read is left open.
+  std::uint64_t sent_before = client->requests_sent();
   auto out = sync.fetch_output(token.value(), "note.txt");
   ASSERT_TRUE(out.ok()) << out.error().to_string();
   EXPECT_EQ(out.value().size(), 1u << 10);
-  EXPECT_EQ(client->output_stats().chunked, 1u);
+  EXPECT_EQ(client->requests_sent(), sent_before + 1);  // the open, only
   EXPECT_EQ(sites.fz->xfer_service().outbound_open(), 0u);
 }
 
@@ -376,11 +391,10 @@ TEST(XferIntegration, BundleDeliveryMovesTreeInOneManifestRoundTrip) {
   auto files = make_tree(40, 128 << 10, "tree/f");
   ASSERT_TRUE(deliver_tree(sites, files).ok());
   // One bundle covered all 40 files — not 40 transfers, and none of
-  // them took the legacy path despite sitting under the 4 MiB
-  // threshold (the bundle carries the batch regardless of size).
+  // them went whole-blob despite sitting under kWholeBlobLimit (the
+  // bundle carries the batch regardless of size).
   EXPECT_EQ(sites.fz->transfer_stats().bundled, 1u);
-  EXPECT_EQ(sites.fz->transfer_stats().chunked, 0u);
-  EXPECT_EQ(sites.fz->transfer_stats().legacy, 0u);
+  EXPECT_EQ(sites.fz->transfer_stats().whole_blob, 0u);
   EXPECT_EQ(sites.ruka->xfer_service().bundles_completed(), 1u);
   EXPECT_EQ(sites.ruka->xfer_service().bundle_files_delivered(), 40u);
   for (const auto& [name, blob] : files)
@@ -404,26 +418,10 @@ TEST(XferIntegration, PartitionMidBundleResumesFromLastAckedChunk) {
   ASSERT_TRUE(status.ok()) << status.error().to_string();
   // Zero duplicate applications: every one of the 16 chunks landed
   // exactly once even though the outage forced retransmits and a
-  // resume — the same invariant the single-file path keeps.
+  // resume — the same invariant a bundle of one keeps.
   EXPECT_EQ(sites.ruka->xfer_service().chunks_applied(), 16u);
   EXPECT_EQ(sites.ruka->xfer_service().bundle_files_delivered(), 16u);
-  EXPECT_EQ(sites.ruka->xfer_service().bundles_open(), 0u);
-  for (const auto& [name, blob] : files)
-    EXPECT_EQ(sites.delivered_checksum(name), blob->checksum());
-}
-
-TEST(XferIntegration, BundlelessPeerFallsBackToPerFileTransfers) {
-  XferSites sites;
-  // RUKA speaks chunked transfers but not bundles (a pre-bundle
-  // deployment): FZJ must degrade to one transfer per file.
-  sites.ruka->set_advertised_features(net::kFeatureJournalInspect |
-                                      net::kFeatureChunkedXfer);
-  auto files = make_tree(6, 128 << 10, "v1/f");
-  ASSERT_TRUE(deliver_tree(sites, files).ok());
-  EXPECT_EQ(sites.fz->transfer_stats().bundled, 0u);
-  EXPECT_EQ(sites.ruka->xfer_service().bundles_completed(), 0u);
-  // Each file still arrived (chunked or legacy per the threshold).
-  EXPECT_EQ(sites.fz->transfer_stats().total(), 6u);
+  EXPECT_EQ(sites.ruka->xfer_service().inbound_open(), 0u);
   for (const auto& [name, blob] : files)
     EXPECT_EQ(sites.delivered_checksum(name), blob->checksum());
 }
@@ -454,7 +452,6 @@ TEST(XferIntegration, ClientPushTreeStagesInputsAsOneBundle) {
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_EQ(stats.value().files, 25u);
   EXPECT_EQ(stats.value().bundles, 1u);
-  EXPECT_EQ(client->output_stats().bundled, 1u);
   EXPECT_EQ(sites.fz->xfer_service().bundle_files_delivered(), 25u);
   for (const auto& [name, blob] : inputs) {
     auto staged = sites.fz->njs().fetch_file_shared(token.value(), name);
@@ -493,21 +490,18 @@ TEST(XferIntegration, ClientFetchTreeFetchesOutputsAsOneBundle) {
     ASSERT_TRUE(direct.ok());
     EXPECT_EQ(blobs.value()[i].checksum(), direct.value()->checksum());
   }
-  // One bundled fetch, not three sequential pulls.
-  EXPECT_EQ(client->output_stats().bundled, 1u);
+  sites.grid.engine().run();  // the best-effort close lands
   EXPECT_EQ(sites.fz->xfer_service().outbound_open(), 0u);
 
-  // A streams=0 client sees the same content through the sequential
-  // fallback path.
-  auto legacy_client = sites.make_client(/*transfer_streams=*/0);
-  client::SyncClient legacy_sync(sites.grid.engine(), *legacy_client);
-  ASSERT_TRUE(legacy_sync.connect(sites.fz->address()).ok());
-  auto legacy = legacy_sync.wait(
-      legacy_client->fetch_tree(token.value(), names));
-  ASSERT_TRUE(legacy.ok()) << legacy.error().to_string();
-  EXPECT_EQ(legacy_client->output_stats().bundled, 0u);
-  ASSERT_EQ(legacy.value().size(), 3u);
-  EXPECT_EQ(legacy.value()[0].checksum(), blobs.value()[0].checksum());
+  // A streams=0 client (session channel only) gets the same content
+  // through the same bundle path.
+  auto session_only = sites.make_client(/*transfer_streams=*/0);
+  client::SyncClient session_sync(sites.grid.engine(), *session_only);
+  ASSERT_TRUE(session_sync.connect(sites.fz->address()).ok());
+  auto same = session_sync.wait(session_only->fetch_tree(token.value(), names));
+  ASSERT_TRUE(same.ok()) << same.error().to_string();
+  ASSERT_EQ(same.value().size(), 3u);
+  EXPECT_EQ(same.value()[0].checksum(), blobs.value()[0].checksum());
 }
 
 }  // namespace

@@ -48,21 +48,30 @@ struct FakePeerLink : public PeerLink {
     on_accepted(RemoteJobHandle{usite, next_token++});
   }
 
-  void deliver_file(const RemoteJobHandle&, const std::string& name,
-                    std::shared_ptr<const uspace::FileBlob> blob,
-                    std::function<void(util::Status)> done) override {
-    delivered.emplace_back(name, *blob);
+  void deliver_files(
+      const RemoteJobHandle&,
+      std::vector<std::pair<std::string,
+                            std::shared_ptr<const uspace::FileBlob>>>
+          files,
+      std::function<void(util::Status)> done) override {
+    for (const auto& [name, blob] : files) delivered.emplace_back(name, *blob);
     done(util::Status::ok_status());
   }
 
-  void fetch_file(const RemoteJobHandle&, const std::string& name,
-                  std::function<void(util::Result<uspace::FileBlob>)> done)
+  void fetch_files(
+      const RemoteJobHandle&, std::vector<std::string> names,
+      std::function<void(util::Result<std::vector<uspace::FileBlob>>)> done)
       override {
-    auto it = remote_files.find(name);
-    if (it == remote_files.end())
-      done(util::make_error(util::ErrorCode::kNotFound, "no " + name));
-    else
-      done(it->second);
+    std::vector<uspace::FileBlob> blobs;
+    for (const std::string& name : names) {
+      auto it = remote_files.find(name);
+      if (it == remote_files.end()) {
+        done(util::make_error(util::ErrorCode::kNotFound, "no " + name));
+        return;
+      }
+      blobs.push_back(it->second);
+    }
+    done(std::move(blobs));
   }
 
   void control(const RemoteJobHandle&, ajo::ControlService::Command,

@@ -36,6 +36,12 @@ TEST(ChunkBitmap, RangesRoundTripThroughApply) {
   EXPECT_EQ(copy.count(), 6u);
   EXPECT_EQ(copy.ranges(), ranges);
   EXPECT_EQ(copy.missing(), (std::vector<std::uint64_t>{3, 4, 6, 7}));
+
+  // Ranges off the wire may claim anything; they clamp to the bitmap.
+  ChunkBitmap wild(10);
+  wild.apply({{7, UINT64_MAX}, {UINT64_MAX, 3}});
+  EXPECT_EQ(wild.count(), 3u);
+  EXPECT_EQ(wild.missing().size(), 7u);
 }
 
 TEST(ChunkBitmap, CompleteWhenEveryChunkPresent) {

@@ -1,12 +1,15 @@
 // TransferManager against a real xfer::Service over a loopback
-// transport: windowed parallel pushes and pulls, lost-ack idempotent
-// re-delivery, receiver crash/recovery resume, and the completed-
-// transfer tombstone. No network — faults are injected at the
-// transport seam; the service journals through a real NJS journal.
+// transport: windowed parallel pushes and pulls (a single file is a
+// bundle of one), lost-ack idempotent re-delivery, receiver
+// crash/recovery resume, the completed-bundle tombstone, and malformed
+// replies. No network — faults are injected at the transport seam; the
+// service journals through a real NJS journal.
 #include "xfer/transfer.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "ajo/tasks.h"
@@ -58,14 +61,8 @@ class Loopback : public ChunkTransport {
           server_peer ? peer_dn : client_dn;
       util::Result<util::Bytes> reply = util::Bytes{};
       switch (op) {
-        case Op::kOpen:
-          reply = service_.open(principal, server_peer, role, r);
-          break;
         case Op::kChunk:
           reply = service_.chunk(principal, server_peer, role, r);
-          break;
-        case Op::kClose:
-          reply = service_.close(principal, server_peer, role, r);
           break;
         case Op::kBundleOpen:
           reply = service_.bundle_open(principal, server_peer, role, r);
@@ -144,17 +141,33 @@ struct TransferFixture : public ::testing::Test {
     return options;
   }
 
-  util::Result<TransferStats> push_blob(
-      std::shared_ptr<Loopback> transport, const uspace::FileBlob& blob,
+  /// Pushes one file as a bundle of one.
+  util::Result<BundleStats> push_blob(
+      std::shared_ptr<ChunkTransport> transport, const uspace::FileBlob& blob,
       const std::string& name, const TransferOptions& options) {
-    util::Result<TransferStats> out =
+    return push_bundle_files(
+        std::move(transport),
+        {{name, std::make_shared<const uspace::FileBlob>(blob)}}, options);
+  }
+
+  /// Pulls one file as a bundle of one.
+  util::Result<BundlePullResult> pull_blob(
+      std::shared_ptr<ChunkTransport> transport, Role role,
+      const std::string& name, const TransferOptions& options) {
+    util::Result<BundlePullResult> out =
         util::make_error(util::ErrorCode::kInternal, "never finished");
-    manager.push(transport, PushSpec{"FZ-Juelich", token, name},
-                 std::make_shared<const uspace::FileBlob>(blob), options,
-                 [&](util::Result<TransferStats> result) {
-                   out = std::move(result);
-                 });
+    BundlePullSpec spec;
+    spec.role = role;
+    spec.token = token;
+    spec.names = {name};
+    int calls = 0;
+    manager.pull_bundle(std::move(transport), spec, options,
+                        [&](util::Result<BundlePullResult> result) {
+                          ++calls;
+                          out = std::move(result);
+                        });
     engine.run();
+    EXPECT_EQ(calls, 1);  // the callback fires exactly once
     return out;
   }
 
@@ -177,15 +190,19 @@ struct TransferFixture : public ::testing::Test {
   }
 
   util::Result<BundleStats> push_bundle_files(
-      std::shared_ptr<Loopback> transport, std::vector<BundleFile> files,
+      std::shared_ptr<ChunkTransport> transport, std::vector<BundleFile> files,
       const TransferOptions& options) {
     util::Result<BundleStats> out =
         util::make_error(util::ErrorCode::kInternal, "never finished");
-    manager.push_bundle(
-        transport, BundlePushSpec{"FZ-Juelich", token}, std::move(files),
-        options,
-        [&](util::Result<BundleStats> result) { out = std::move(result); });
+    int calls = 0;
+    manager.push_bundle(transport, BundlePushSpec{"FZ-Juelich", token},
+                        std::move(files), options,
+                        [&](util::Result<BundleStats> result) {
+                          ++calls;
+                          out = std::move(result);
+                        });
     engine.run();
+    EXPECT_EQ(calls, 1);  // the callback fires exactly once
     return out;
   }
 };
@@ -202,7 +219,7 @@ TEST_F(TransferFixture, PushStripesChunksOverParallelStreams) {
   EXPECT_EQ(stats.value().resumes, 0u);
   EXPECT_EQ(delivered_checksum("striped.bin"), blob.checksum());
   EXPECT_EQ(service.chunks_applied(), 32u);
-  EXPECT_EQ(service.transfers_completed(), 1u);
+  EXPECT_EQ(service.bundles_completed(), 1u);
   EXPECT_EQ(service.inbound_open(), 0u);  // table drained on close
 }
 
@@ -257,7 +274,7 @@ TEST_F(TransferFixture, ReceiverCrashMidTransferResumesFromJournal) {
   auto stats = push_blob(transport, blob, "crashy.bin", small_chunks());
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_GE(stats.value().resumes, 1u);
-  EXPECT_EQ(service.transfers_recovered(), 1u);
+  EXPECT_EQ(service.bundles_recovered(), 1u);
   // Chunks journaled before the crash were folded back, not re-applied:
   // every one of the 64 chunks was applied exactly once overall.
   EXPECT_EQ(service.chunks_applied(), 64u);
@@ -271,8 +288,8 @@ TEST_F(TransferFixture, CompletedTransferTombstoneMakesRepushCheap) {
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.value().chunks, 16u);
 
-  // Same file, same destination: the durable key matches the kXferDone
-  // tombstone, so the re-push moves zero chunks.
+  // Same file, same destination: the durable key matches the
+  // kXferBundleDone tombstone, so the re-push moves zero chunks.
   auto second = push_blob(transport, blob, "twice.bin", small_chunks());
   ASSERT_TRUE(second.ok()) << second.error().to_string();
   EXPECT_EQ(second.value().chunks, 0u);
@@ -316,8 +333,8 @@ TEST_F(StoreTransferFixture, RepushToNewNameMovesZeroPayloadBytes) {
   EXPECT_EQ(first.value().chunks, 16u);
   EXPECT_EQ(service.chunks_applied(), 16u);
 
-  // Different target name, so the durable key differs and the completed-
-  // transfer tombstone does NOT apply. The sender's digest manifest in
+  // Different target name, so the durable key differs and the committed-
+  // bundle tombstone does NOT apply. The sender's digest manifest in
   // the open finds every chunk already present: zero payload moves.
   auto second = push_blob(transport, blob, "warm.bin", small_chunks());
   ASSERT_TRUE(second.ok()) << second.error().to_string();
@@ -430,15 +447,11 @@ TEST_F(TransferFixture, PullChunkedMatchesSourceChecksum) {
                       std::make_shared<const uspace::FileBlob>(blob))
                   .ok());
   auto transport = std::make_shared<Loopback>(engine, service, 4);
-  util::Result<PullResult> out =
-      util::make_error(util::ErrorCode::kInternal, "never finished");
-  manager.pull(transport, PullSpec{Role::kPeerPull, token, "out.bin"},
-               small_chunks(),
-               [&](util::Result<PullResult> result) { out = std::move(result); });
-  engine.run();
+  auto out = pull_blob(transport, Role::kPeerPull, "out.bin", small_chunks());
   ASSERT_TRUE(out.ok()) << out.error().to_string();
-  EXPECT_EQ(out.value().blob.checksum(), blob.checksum());
-  EXPECT_FALSE(out.value().stats.inlined);
+  ASSERT_EQ(out.value().blobs.size(), 1u);
+  EXPECT_EQ(out.value().blobs[0].checksum(), blob.checksum());
+  EXPECT_EQ(out.value().stats.inlined, 0u);
   EXPECT_EQ(out.value().stats.chunks, 48u);
   EXPECT_EQ(service.outbound_open(), 0u);  // close released the read
 }
@@ -449,16 +462,13 @@ TEST_F(TransferFixture, PullSmallFileInlinesInOpenReply) {
                                    uspace::FileBlob::from_string("n")))
                   .ok());
   auto transport = std::make_shared<Loopback>(engine, service, 2);
-  util::Result<PullResult> out =
-      util::make_error(util::ErrorCode::kInternal, "never finished");
-  manager.pull(transport, PullSpec{Role::kPeerPull, token, "note.txt"},
-               small_chunks(),
-               [&](util::Result<PullResult> result) { out = std::move(result); });
-  engine.run();
-  ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(out.value().stats.inlined);
+  auto out = pull_blob(transport, Role::kPeerPull, "note.txt", small_chunks());
+  ASSERT_TRUE(out.ok()) << out.error().to_string();
+  EXPECT_EQ(out.value().stats.inlined, 1u);
   EXPECT_EQ(out.value().stats.chunks, 0u);
-  EXPECT_EQ(out.value().blob.size(), 1u);
+  ASSERT_EQ(out.value().blobs.size(), 1u);
+  EXPECT_EQ(out.value().blobs[0].size(), 1u);
+  EXPECT_EQ(service.outbound_open(), 0u);  // nothing left to close
 }
 
 TEST_F(TransferFixture, ClientPullEnforcesJobOwnership) {
@@ -468,14 +478,9 @@ TEST_F(TransferFixture, ClientPullEnforcesJobOwnership) {
                   .ok());
   auto transport = std::make_shared<Loopback>(engine, service, 1);
   transport->client_dn = dn("Mallory");  // not the job owner
-  util::Result<PullResult> out =
-      util::make_error(util::ErrorCode::kInternal, "never finished");
   TransferOptions options = small_chunks();
   options.max_resume_attempts = 1;  // permission errors must not retry long
-  manager.pull(transport, PullSpec{Role::kClientPull, token, "secret.txt"},
-               options,
-               [&](util::Result<PullResult> result) { out = std::move(result); });
-  engine.run();
+  auto out = pull_blob(transport, Role::kClientPull, "secret.txt", options);
   ASSERT_FALSE(out.ok());
 }
 
@@ -499,7 +504,7 @@ TEST_F(TransferFixture, BundlePushDeliversEveryFileInOneOpen) {
   EXPECT_EQ(service.chunks_applied(), 24u);
   EXPECT_EQ(service.bundles_completed(), 1u);
   EXPECT_EQ(service.bundle_files_delivered(), 12u);
-  EXPECT_EQ(service.bundles_open(), 0u);  // close drained the table
+  EXPECT_EQ(service.inbound_open(), 0u);  // close drained the table
   for (std::size_t i = 0; i < files.size(); ++i)
     EXPECT_EQ(delivered_checksum(files[i].name), checksums[i]);
 
@@ -794,22 +799,102 @@ TEST_F(StoreTransferFixture, SatisfyBundleOpenIgnoresManifestAfterClamp) {
 }
 
 TEST_F(TransferFixture, PushRequiresServerPeerCertificate) {
-  // A client-authenticated caller must not be able to open a push; the
-  // service enforces it independently of the gateway.
-  uspace::FileBlob blob = uspace::FileBlob::from_string("x");
-  PushOpenRequest request;
-  request.key = make_transfer_key("evil", token, "x.bin", blob.checksum(),
-                                  blob.size());
-  request.token = token;
-  request.name = "x.bin";
-  request.size = blob.size();
-  request.checksum = blob.checksum();
+  // A client-authenticated caller must not be able to push a chunk into
+  // a peer-role bundle either; the service enforces it independently of
+  // the gateway.
+  BundleChunkRequest request;
+  request.role = Role::kPush;
+  request.transfer_id = 1;
+  request.chunk = make_chunk(uspace::FileBlob::from_string("x"), 0,
+                             kMinChunkBytes);
   util::Bytes wire = request.encode();
   util::ByteReader r{wire};
   Role role = static_cast<Role>(r.u8());
-  auto reply = service.open(dn("Jane"), /*server_peer=*/false, role, r);
+  auto reply = service.chunk(dn("Jane"), /*server_peer=*/false, role, r);
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.error().code, util::ErrorCode::kPermissionDenied);
+}
+
+// ---- malformed replies -----------------------------------------------------
+
+/// Wraps a Loopback and rewrites the first OK reply body of one
+/// operation: the peer answered, but with a body the sender must reject.
+class MangledReplyTransport : public ChunkTransport {
+ public:
+  MangledReplyTransport(std::shared_ptr<Loopback> inner, Op victim,
+                        std::function<void(util::Bytes&)> mangle)
+      : inner_(std::move(inner)), victim_(victim), mangle_(std::move(mangle)) {}
+
+  std::size_t streams() const override { return inner_->streams(); }
+
+  void call(std::size_t stream, Op op, util::Bytes body,
+            std::function<void(util::Result<util::Bytes>)> done) override {
+    bool hit = op == victim_ && !used_;
+    if (hit) used_ = true;
+    inner_->call(stream, op, std::move(body),
+                 [this, hit, done = std::move(done)](
+                     util::Result<util::Bytes> reply) {
+                   if (hit && reply.ok()) mangle_(reply.value());
+                   done(std::move(reply));
+                 });
+  }
+
+ private:
+  std::shared_ptr<Loopback> inner_;
+  Op victim_;
+  std::function<void(util::Bytes&)> mangle_;
+  bool used_ = false;
+};
+
+void cut_last_byte(util::Bytes& body) {
+  if (!body.empty()) body.pop_back();
+}
+
+TEST_F(TransferFixture, TruncatedOpenReplyFailsTheTransferOnce) {
+  auto transport = std::make_shared<MangledReplyTransport>(
+      std::make_shared<Loopback>(engine, service, 2), Op::kBundleOpen,
+      cut_last_byte);
+  auto stats = push_blob(transport, uspace::FileBlob::synthetic(256 << 10, 4),
+                         "cut-open.bin", small_chunks());
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.error().code, util::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(stats.error().message, "malformed transfer reply");
+
+  // A reply that decodes but declares a zero chunk size (the u32 after
+  // the u64 transfer id) is just as malformed.
+  auto zero_chunks = std::make_shared<MangledReplyTransport>(
+      std::make_shared<Loopback>(engine, service, 2), Op::kBundleOpen,
+      [](util::Bytes& body) {
+        std::fill(body.begin() + 8, body.begin() + 12, 0);
+      });
+  auto zeroed = push_blob(zero_chunks, uspace::FileBlob::synthetic(1 << 20, 8),
+                          "zero-chunk.bin", small_chunks());
+  ASSERT_FALSE(zeroed.ok());
+  EXPECT_EQ(zeroed.error().message, "malformed transfer reply");
+}
+
+TEST_F(TransferFixture, TruncatedChunkReplyFailsTheTransferOnce) {
+  auto transport = std::make_shared<MangledReplyTransport>(
+      std::make_shared<Loopback>(engine, service, 2), Op::kChunk,
+      cut_last_byte);
+  auto stats = push_blob(transport, uspace::FileBlob::synthetic(256 << 10, 5),
+                         "cut-ack.bin", small_chunks());
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.error().code, util::ErrorCode::kInvalidArgument);
+
+  // The pull side decodes chunk bodies too: a cut Chunk fails the same
+  // way instead of throwing out of the engine callback.
+  ASSERT_TRUE(njs.deliver_file(token, "big.out",
+                               std::make_shared<const uspace::FileBlob>(
+                                   uspace::FileBlob::synthetic(1 << 20, 6)))
+                  .ok());
+  auto pulled = pull_blob(std::make_shared<MangledReplyTransport>(
+                              std::make_shared<Loopback>(engine, service, 2),
+                              Op::kChunk, cut_last_byte),
+                          Role::kPeerPull, "big.out", small_chunks());
+  ASSERT_FALSE(pulled.ok());
+  EXPECT_EQ(pulled.error().code, util::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(pulled.error().message, "malformed transfer reply");
 }
 
 }  // namespace

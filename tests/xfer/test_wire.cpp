@@ -1,5 +1,5 @@
 // Wire framing of the chunked transfer protocol: chunk math, digests,
-// the durable transfer key, and request/reply codec round-trips.
+// the durable bundle key, and request/reply codec round-trips.
 #include "xfer/wire.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +20,9 @@ TEST(ChunkCount, ExactMultipleAndRemainder) {
   EXPECT_EQ(chunk_count(2049, 1024), 3u);
   EXPECT_EQ(chunk_count(1, kMaxChunkBytes), 1u);
   EXPECT_EQ(chunk_count(64ull << 20, 1 << 20), 64u);
+  // A size off the wire near 2^64 must not wrap to a handful of chunks.
+  EXPECT_EQ(chunk_count(UINT64_MAX, kMinChunkBytes),
+            UINT64_MAX / kMinChunkBytes + 1);
 }
 
 TEST(Digests, RealAndSyntheticDigestsAreDomainSeparated) {
@@ -65,9 +68,15 @@ TEST(MakeChunk, SyntheticBlobCarriesNoPayload) {
 
 TEST(TransferKey, StableAndSensitiveToEveryField) {
   uspace::FileBlob blob = uspace::FileBlob::from_string("data");
+  // A single file is a bundle of one: its durable key covers the source
+  // site, the target token, and the file's name, checksum, and size.
   auto key = [&](const std::string& site, ajo::JobToken token,
                  const std::string& name, std::uint64_t size) {
-    return make_transfer_key(site, token, name, blob.checksum(), size);
+    BundleFileEntry entry;
+    entry.name = name;
+    entry.size = size;
+    entry.checksum = blob.checksum();
+    return make_bundle_key(site, token, {entry});
   };
   util::Bytes base = key("FZ-Juelich", 7, "out.bin", 4);
   EXPECT_EQ(base.size(), 32u);
@@ -121,97 +130,99 @@ TEST(ChunkCodec, RoundTripRealAndSynthetic) {
 
 TEST(OpenCodec, PushRequestLeadsWithRoleByte) {
   uspace::FileBlob blob = uspace::FileBlob::from_string("f");
-  PushOpenRequest req;
-  req.key = make_transfer_key("FZ-Juelich", 3, "f.bin", blob.checksum(),
-                              blob.size());
+  BundleOpenRequest req;
+  req.role = Role::kClientPush;
   req.token = 3;
-  req.name = "f.bin";
-  req.size = blob.size();
-  req.checksum = blob.checksum();
-  req.synthetic = false;
   req.proposed_chunk_bytes = 512 * 1024;
+  BundleFileEntry entry;
+  entry.name = "f.bin";
+  entry.size = blob.size();
+  entry.checksum = blob.checksum();
+  req.files.push_back(entry);
+  req.key = make_bundle_key("client:Jane", 3, req.files);
 
   util::Bytes wire = req.encode();
   util::ByteReader r{wire};
-  EXPECT_EQ(static_cast<Role>(r.u8()), Role::kPush);
-  PushOpenRequest decoded = PushOpenRequest::decode(Role::kPush, r);
+  EXPECT_EQ(static_cast<Role>(r.u8()), Role::kClientPush);
+  BundleOpenRequest decoded = BundleOpenRequest::decode(r);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(decoded.key, req.key);
   EXPECT_EQ(decoded.token, req.token);
-  EXPECT_EQ(decoded.name, req.name);
-  EXPECT_EQ(decoded.size, req.size);
-  EXPECT_EQ(decoded.checksum, req.checksum);
   EXPECT_EQ(decoded.proposed_chunk_bytes, req.proposed_chunk_bytes);
+  ASSERT_EQ(decoded.files.size(), 1u);
+  EXPECT_EQ(decoded.files[0].name, "f.bin");
+  EXPECT_EQ(decoded.files[0].size, blob.size());
+  EXPECT_EQ(decoded.files[0].checksum, blob.checksum());
 }
 
 TEST(OpenCodec, PushReplyRoundTripsResumeState) {
-  PushOpenReply reply;
-  reply.transfer_id = 77;
+  // The committed-bundle tombstone reply: no transfer id, no credit,
+  // every file complete — the sender goes straight to close.
+  BundleOpenReply reply;
+  reply.transfer_id = 0;
   reply.chunk_bytes = kMinChunkBytes;
-  reply.credit = 12;
-  reply.have = {{0, 3}, {5, 2}};
+  reply.credit = 0;
+  reply.files.resize(1);
+  reply.files[0].complete = true;
   util::Bytes wire = reply.encode();
   util::ByteReader r{wire};
-  PushOpenReply decoded = PushOpenReply::decode(r);
-  EXPECT_EQ(decoded.transfer_id, 77u);
+  BundleOpenReply decoded = BundleOpenReply::decode(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(decoded.transfer_id, 0u);
   EXPECT_EQ(decoded.chunk_bytes, kMinChunkBytes);
-  EXPECT_EQ(decoded.credit, 12u);
-  EXPECT_EQ(decoded.have, reply.have);
+  EXPECT_EQ(decoded.credit, 0u);
+  ASSERT_EQ(decoded.files.size(), 1u);
+  EXPECT_TRUE(decoded.files[0].complete);
+  EXPECT_TRUE(decoded.files[0].have.empty());
 }
 
 TEST(OpenCodec, PullRequestAndInlineReply) {
-  PullOpenRequest req;
+  BundlePullOpenRequest req;
   req.role = Role::kClientPull;
   req.token = 9;
-  req.name = "stdout";
+  req.names = {"stdout"};
   req.proposed_chunk_bytes = kDefaultChunkBytes;
-  req.inline_limit = 4096;
   util::Bytes wire = req.encode();
   util::ByteReader r{wire};
   Role role = static_cast<Role>(r.u8());
   EXPECT_EQ(role, Role::kClientPull);
-  PullOpenRequest decoded = PullOpenRequest::decode(role, r);
+  BundlePullOpenRequest decoded = BundlePullOpenRequest::decode(role, r);
   EXPECT_EQ(decoded.token, 9u);
-  EXPECT_EQ(decoded.name, "stdout");
-  EXPECT_EQ(decoded.inline_limit, 4096u);
+  EXPECT_EQ(decoded.names, req.names);
 
-  PullOpenReply inline_reply;
-  inline_reply.inline_blob = true;
+  // A one-file pull at or below kPullInlineLimit: the file IS the reply.
+  BundlePullOpenReply inline_reply;
+  inline_reply.inlined = true;
   inline_reply.blob = uspace::FileBlob::from_string("tiny output");
   util::Bytes inline_wire = inline_reply.encode();
   util::ByteReader ir{inline_wire};
-  PullOpenReply idec = PullOpenReply::decode(ir);
-  ASSERT_TRUE(idec.inline_blob);
+  BundlePullOpenReply idec = BundlePullOpenReply::decode(ir);
+  EXPECT_TRUE(ir.done());
+  ASSERT_TRUE(idec.inlined);
   EXPECT_EQ(idec.blob.checksum(), inline_reply.blob.checksum());
+  EXPECT_EQ(idec.transfer_id, 0u);
+  EXPECT_TRUE(idec.files.empty());
 
-  PullOpenReply chunked;
+  BundlePullOpenReply chunked;
   chunked.transfer_id = 5;
   chunked.chunk_bytes = kDefaultChunkBytes;
-  chunked.size = 80 << 20;
-  chunked.synthetic = true;
-  chunked.checksum = uspace::FileBlob::synthetic(80 << 20, 1).checksum();
+  BundlePullFileInfo info;
+  info.size = 80 << 20;
+  info.synthetic = true;
+  info.checksum = uspace::FileBlob::synthetic(80 << 20, 1).checksum();
+  chunked.files.push_back(info);
   util::Bytes chunked_wire = chunked.encode();
   util::ByteReader cr{chunked_wire};
-  PullOpenReply cdec = PullOpenReply::decode(cr);
-  EXPECT_FALSE(cdec.inline_blob);
+  BundlePullOpenReply cdec = BundlePullOpenReply::decode(cr);
+  EXPECT_FALSE(cdec.inlined);
   EXPECT_EQ(cdec.transfer_id, 5u);
-  EXPECT_EQ(cdec.size, 80ull << 20);
-  EXPECT_TRUE(cdec.synthetic);
-  EXPECT_EQ(cdec.checksum, chunked.checksum);
+  ASSERT_EQ(cdec.files.size(), 1u);
+  EXPECT_EQ(cdec.files[0].size, 80ull << 20);
+  EXPECT_TRUE(cdec.files[0].synthetic);
+  EXPECT_EQ(cdec.files[0].checksum, info.checksum);
 }
 
 TEST(ChunkOpCodec, PushAndPullRoundTrip) {
-  uspace::FileBlob blob = uspace::FileBlob::from_string("abc");
-  PushChunkRequest req;
-  req.transfer_id = 11;
-  req.chunk = make_chunk(blob, 0, kMinChunkBytes);
-  util::Bytes req_wire = req.encode();
-  util::ByteReader r{req_wire};
-  EXPECT_EQ(static_cast<Role>(r.u8()), Role::kPush);
-  PushChunkRequest decoded = PushChunkRequest::decode(r);
-  EXPECT_EQ(decoded.transfer_id, 11u);
-  EXPECT_EQ(decoded.chunk.digest, req.chunk.digest);
-
   PushChunkReply reply{/*applied=*/false, /*credit=*/3};
   util::Bytes reply_wire = reply.encode();
   util::ByteReader rr{reply_wire};
@@ -219,39 +230,45 @@ TEST(ChunkOpCodec, PushAndPullRoundTrip) {
   EXPECT_FALSE(rdec.applied);
   EXPECT_EQ(rdec.credit, 3u);
 
-  PullChunkRequest pull;
+  BundlePullChunkRequest pull;
   pull.role = Role::kPeerPull;
   pull.transfer_id = 6;
+  pull.file_index = 2;
   pull.index = 41;
   util::Bytes pull_wire = pull.encode();
   util::ByteReader pr{pull_wire};
   Role role = static_cast<Role>(pr.u8());
   EXPECT_EQ(role, Role::kPeerPull);
-  PullChunkRequest pdec = PullChunkRequest::decode(role, pr);
+  BundlePullChunkRequest pdec = BundlePullChunkRequest::decode(role, pr);
+  EXPECT_TRUE(pr.done());
   EXPECT_EQ(pdec.transfer_id, 6u);
+  EXPECT_EQ(pdec.file_index, 2u);
   EXPECT_EQ(pdec.index, 41u);
 }
 
 TEST(CloseCodec, PushCarriesKeyPullDoesNot) {
-  CloseRequest close;
-  close.role = Role::kPush;
+  BundleCloseRequest close;
+  close.role = Role::kClientPush;
   close.transfer_id = 2;
   close.key = util::Bytes(32, 7);
   util::Bytes close_wire = close.encode();
   util::ByteReader r{close_wire};
   Role role = static_cast<Role>(r.u8());
-  EXPECT_EQ(role, Role::kPush);
-  CloseRequest decoded = CloseRequest::decode(role, r);
+  EXPECT_EQ(role, Role::kClientPush);
+  BundleCloseRequest decoded = BundleCloseRequest::decode(role, r);
+  EXPECT_TRUE(r.done());
   EXPECT_EQ(decoded.transfer_id, 2u);
   EXPECT_EQ(decoded.key, close.key);
 
-  CloseRequest pull_close;
+  BundleCloseRequest pull_close;
   pull_close.role = Role::kClientPull;
   pull_close.transfer_id = 9;
+  pull_close.key = util::Bytes(32, 7);  // not encoded for a pull role
   util::Bytes pull_close_wire = pull_close.encode();
   util::ByteReader pr{pull_close_wire};
   Role prole = static_cast<Role>(pr.u8());
-  CloseRequest pdec = CloseRequest::decode(prole, pr);
+  BundleCloseRequest pdec = BundleCloseRequest::decode(prole, pr);
+  EXPECT_TRUE(pr.done());
   EXPECT_EQ(pdec.transfer_id, 9u);
   EXPECT_TRUE(pdec.key.empty());
 }
@@ -342,12 +359,15 @@ TEST(BundleCodec, ChunkRequestCarriesFileIndexAfterTransferId) {
   request.chunk = make_chunk(blob, 0, kMinChunkBytes);
 
   util::Bytes wire = request.encode();
+  util::ByteReader peek{wire};
+  EXPECT_EQ(static_cast<Role>(peek.u8()), Role::kPush);
+  // The server routes a chunk by its transfer id, right after the role.
+  EXPECT_EQ(peek.u64(), 7u);
   util::ByteReader r{wire};
-  EXPECT_EQ(static_cast<Role>(r.u8()), Role::kPush);
-  // The service reads the id itself to tell bundles from single files.
-  std::uint64_t id = r.u64();
-  EXPECT_EQ(id, 7u);
-  BundleChunkRequest decoded = BundleChunkRequest::decode(id, r);
+  r.u8();  // role
+  BundleChunkRequest decoded = BundleChunkRequest::decode(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(decoded.transfer_id, 7u);
   EXPECT_EQ(decoded.file_index, 3u);
   EXPECT_EQ(decoded.chunk.digest, request.chunk.digest);
   EXPECT_EQ(decoded.chunk.data, request.chunk.data);
@@ -411,14 +431,14 @@ TEST(BundleCodec, CloseRequestKeyTravelsOnPushRolesOnly) {
 
 TEST(Codec, TruncatedBodyThrowsInsteadOfMisparsing) {
   uspace::FileBlob blob = uspace::FileBlob::from_string("abcdef");
-  PushChunkRequest req;
+  BundleChunkRequest req;
   req.transfer_id = 1;
   req.chunk = make_chunk(blob, 0, kMinChunkBytes);
   util::Bytes wire = req.encode();
   wire.resize(wire.size() / 2);
   util::ByteReader r{wire};
   r.u8();  // role
-  EXPECT_THROW(PushChunkRequest::decode(r), std::out_of_range);
+  EXPECT_THROW(BundleChunkRequest::decode(r), std::out_of_range);
 }
 
 }  // namespace
