@@ -36,6 +36,22 @@ std::vector<client::WorkflowStep> portal_steps() {
   return {prepare, analyse};
 }
 
+/// A bench that keeps one session across all its iterations outlives
+/// the session's TTL on the virtual clock. Refreshes it, outside the
+/// timed region, once less than five virtual minutes of it are left —
+/// far more than one iteration spends. False when the refresh fails.
+bool keep_session_alive(benchmark::State& state, SingleSite& site,
+                        client::SyncClient& sync, std::int64_t& expires_at) {
+  if (net::epoch_seconds(site.grid.engine().now()) + 300 < expires_at)
+    return true;
+  state.PauseTiming();
+  auto grant = sync.refresh_session();
+  state.ResumeTiming();
+  if (!grant.ok()) return false;
+  expires_at = grant.value().expires_at;
+  return true;
+}
+
 client::WorkflowParameters portal_parameters() {
   client::WorkflowParameters parameters;
   parameters.job_name = "bench-flow";
@@ -82,14 +98,26 @@ void BM_TokenRequestFastPath(benchmark::State& state) {
   SingleSite site(/*seed=*/12);
   auto client = site.make_client();
   client::SyncClient sync(site.grid.engine(), *client);
-  if (!sync.connect(site.address()).ok() || !sync.open_session().ok()) {
+  if (!sync.connect(site.address()).ok()) {
     state.SkipWithError("setup failed");
     return;
   }
+  auto grant = sync.open_session();
+  if (!grant.ok()) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  std::int64_t expires_at = grant.value().expires_at;
 
   for (auto _ : state) {
-    if (!sync.list_storages().ok())
+    if (!keep_session_alive(state, site, sync, expires_at)) {
+      state.SkipWithError("session refresh failed");
+      break;
+    }
+    if (!sync.list_storages().ok()) {
       state.SkipWithError("token request failed");
+      break;
+    }
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["fast_validations"] = static_cast<double>(
@@ -108,15 +136,24 @@ void BM_OneRunLatency(benchmark::State& state) {
 
   auto client = site.make_client();
   client::SyncClient sync(site.grid.engine(), *client);
+  std::int64_t expires_at = 0;
   if (resumed) {
-    if (!sync.connect(site.address()).ok() || !sync.open_session().ok()) {
+    util::Result<client::SessionGrant> grant =
+        util::make_error(util::ErrorCode::kInternal, "not connected");
+    if (sync.connect(site.address()).ok()) grant = sync.open_session();
+    if (!grant.ok()) {
       state.SkipWithError("setup failed");
       return;
     }
+    expires_at = grant.value().expires_at;
   }
 
   double virtual_ms_total = 0;
   for (auto _ : state) {
+    if (resumed && !keep_session_alive(state, site, sync, expires_at)) {
+      state.SkipWithError("session refresh failed");
+      break;
+    }
     sim::Time start = site.grid.engine().now();
     util::Result<client::WorkflowRun> run =
         util::make_error(util::ErrorCode::kInternal, "not run");

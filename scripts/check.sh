@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
-# Builds and tests the plain (RelWithDebInfo) and sanitized
-# (ASan+UBSan Debug) configurations via the CMake presets.
+# Builds and tests the plain (RelWithDebInfo), sanitized (ASan+UBSan
+# Debug, any UBSan report fatal) and ThreadSanitizer (Debug; the net and
+# util suites, where the record pool, ThreadPool and SpscRing run real
+# threads) configurations via the CMake presets.
 #
-#   scripts/check.sh            both configurations
+#   scripts/check.sh            all three configurations
 #   scripts/check.sh plain      just the regular build
-#   scripts/check.sh sanitize   just the sanitizer build
+#   scripts/check.sh sanitize   just the ASan+UBSan build
+#   scripts/check.sh tsan       just the TSan build
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 presets=("$@")
 if [ ${#presets[@]} -eq 0 ]; then
-  presets=(plain sanitize)
+  presets=(plain sanitize tsan)
 fi
 
 for preset in "${presets[@]}"; do

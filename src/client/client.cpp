@@ -101,8 +101,6 @@ void UnicoreClient::connect(net::Address usite,
   channel_config.credential = config_.user;
   channel_config.trust = config_.trust;
   channel_config.required_peer_usage = crypto::kUsageServerAuth;
-  channel_config.protocol_version = config_.protocol_version;
-  channel_config.features = config_.channel_features;
   // Reconnects resume from the cached session ticket — one round trip,
   // no public-key operations — until the ticket expires or the server
   // invalidates it.
@@ -378,7 +376,6 @@ std::shared_ptr<xfer::ChunkTransport> UnicoreClient::transfer_transport() {
     rails_config.required_peer_usage = crypto::kUsageServerAuth;
     rails_config.request_timeout = config_.request_timeout;
     rails_config.session_cache = &sessions_;
-    rails_config.features = config_.channel_features;
     rails = server::XferRails::create(engine_, network_, rng_,
                                       std::move(rails_config));
   }
@@ -560,144 +557,6 @@ void UnicoreClient::reap_storage(
   ByteWriter payload;
   payload.u64(token);
   call<wire::StorageReapCodec>(payload.take(), std::move(done));
-}
-
-// ---- the promise surface ---------------------------------------------------
-// Thin adapters: each starts the callback operation and settles a
-// promise from its completion.
-
-namespace {
-
-/// Converts a Status completion into a Future<Ack> settlement.
-std::function<void(Status)> settle_ack(const Promise<Ack>& promise) {
-  return [promise](Status status) {
-    if (status.ok())
-      promise.set(Ack{});
-    else
-      promise.set(status.error());
-  };
-}
-
-}  // namespace
-
-Future<Ack> UnicoreClient::connect(net::Address usite) {
-  Promise<Ack> promise;
-  connect(usite, settle_ack(promise));
-  return promise.future();
-}
-
-Future<ajo::JobToken> UnicoreClient::submit(const ajo::AbstractJobObject& job) {
-  Promise<ajo::JobToken> promise;
-  submit(job, [promise](Result<ajo::JobToken> r) { promise.set(std::move(r)); });
-  return promise.future();
-}
-
-Future<ajo::Outcome> UnicoreClient::query(ajo::JobToken token,
-                                          ajo::QueryService::Detail detail) {
-  Promise<ajo::Outcome> promise;
-  query(token, detail,
-        [promise](Result<ajo::Outcome> r) { promise.set(std::move(r)); });
-  return promise.future();
-}
-
-Future<std::vector<JobEntry>> UnicoreClient::list() {
-  Promise<std::vector<JobEntry>> promise;
-  list([promise](Result<std::vector<JobEntry>> r) {
-    promise.set(std::move(r));
-  });
-  return promise.future();
-}
-
-Future<Ack> UnicoreClient::control(ajo::JobToken token,
-                                   ajo::ControlService::Command command) {
-  Promise<Ack> promise;
-  control(token, command, settle_ack(promise));
-  return promise.future();
-}
-
-Future<uspace::FileBlob> UnicoreClient::fetch_output(ajo::JobToken token,
-                                                     const std::string& name) {
-  Promise<uspace::FileBlob> promise;
-  fetch_output(token, name, [promise](Result<uspace::FileBlob> r) {
-    promise.set(std::move(r));
-  });
-  return promise.future();
-}
-
-Future<xfer::BundleStats> UnicoreClient::push_tree(
-    ajo::JobToken token,
-    std::vector<std::pair<std::string, uspace::FileBlob>> files) {
-  Promise<xfer::BundleStats> promise;
-  push_tree(token, std::move(files), [promise](Result<xfer::BundleStats> r) {
-    promise.set(std::move(r));
-  });
-  return promise.future();
-}
-
-Future<std::vector<uspace::FileBlob>> UnicoreClient::fetch_tree(
-    ajo::JobToken token, std::vector<std::string> names) {
-  Promise<std::vector<uspace::FileBlob>> promise;
-  fetch_tree(token, std::move(names),
-             [promise](Result<std::vector<uspace::FileBlob>> r) {
-               promise.set(std::move(r));
-             });
-  return promise.future();
-}
-
-Future<ajo::Outcome> UnicoreClient::wait_for_completion(ajo::JobToken token,
-                                                        sim::Time interval) {
-  Promise<ajo::Outcome> promise;
-  wait_for_completion(token, interval, [promise](Result<ajo::Outcome> r) {
-    promise.set(std::move(r));
-  });
-  return promise.future();
-}
-
-Future<SessionGrant> UnicoreClient::open_session(
-    std::int64_t requested_ttl_seconds) {
-  Promise<SessionGrant> promise;
-  open_session(requested_ttl_seconds, [promise](Result<SessionGrant> r) {
-    promise.set(std::move(r));
-  });
-  return promise.future();
-}
-
-Future<SessionGrant> UnicoreClient::refresh_session() {
-  Promise<SessionGrant> promise;
-  refresh_session(
-      [promise](Result<SessionGrant> r) { promise.set(std::move(r)); });
-  return promise.future();
-}
-
-Future<Ack> UnicoreClient::close_session() {
-  Promise<Ack> promise;
-  close_session(settle_ack(promise));
-  return promise.future();
-}
-
-Future<std::vector<StorageEntry>> UnicoreClient::list_storages() {
-  Promise<std::vector<StorageEntry>> promise;
-  list_storages([promise](Result<std::vector<StorageEntry>> r) {
-    promise.set(std::move(r));
-  });
-  return promise.future();
-}
-
-Future<std::vector<std::string>> UnicoreClient::storage_files(
-    ajo::JobToken token) {
-  Promise<std::vector<std::string>> promise;
-  storage_files(token, [promise](Result<std::vector<std::string>> r) {
-    promise.set(std::move(r));
-  });
-  return promise.future();
-}
-
-Future<std::uint64_t> UnicoreClient::reap_storage(ajo::JobToken token) {
-  Promise<std::uint64_t> promise;
-  reap_storage(token, [promise](Result<std::uint64_t> r) {
-    promise.set(std::move(r));
-  });
-  return promise.future();
 }
 
 }  // namespace unicore::client

@@ -10,6 +10,12 @@
 // the paper ("the current implementation sends data back to the
 // workstation only on user request while the user is working with the
 // JMC", §5.6).
+//
+// Because clients always run the latest signed software, the client
+// speaks exactly the server's protocol baseline (v3) and has one async
+// surface: every operation takes a completion callback. SyncClient
+// turns those callbacks into plain return values for driver code, and
+// WorkflowManager::one_run is the one-call portal shorthand.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +28,6 @@
 #include "ajo/job.h"
 #include "ajo/outcome.h"
 #include "ajo/services.h"
-#include "client/future.h"
 #include "crypto/bundle.h"
 #include "crypto/x509.h"
 #include "net/network.h"
@@ -294,10 +299,6 @@ class UnicoreClient {
     sim::Time request_timeout = sim::sec(60);
     /// Backoff between submit_with_retry attempts.
     util::BackoffPolicy retry_backoff;
-    /// Channel protocol version and feature bits offered in the hello
-    /// (see PROTOCOL.md); lower them to emulate a legacy client.
-    std::uint8_t protocol_version = net::kProtocolVersion;
-    std::uint64_t channel_features = net::kDefaultFeatures;
     /// Streams for chunked transfers: stream 0 rides the main channel,
     /// the rest are extra rails. 0 (like 1) means the session channel
     /// only, no extra rails.
@@ -363,10 +364,7 @@ class UnicoreClient {
 
   // --- bundle staging (docs/DATA.md §3) ---------------------------------
   /// Stages a whole file tree into job `token`'s Uspace as bundles (one
-  /// manifest round trip per xfer::kMaxBundleFiles slice). The chunked
-  /// transfer operations need the negotiated kFeatureChunkedXfer and
-  /// kFeatureBundleXfer; a server without them fails kFailedPrecondition
-  /// (stage files inside the AJO instead).
+  /// manifest round trip per xfer::kMaxBundleFiles slice).
   void push_tree(ajo::JobToken token,
                  std::vector<std::pair<std::string, uspace::FileBlob>> files,
                  std::function<void(util::Result<xfer::BundleStats>)> done);
@@ -414,32 +412,6 @@ class UnicoreClient {
   void reap_storage(ajo::JobToken token,
                     std::function<void(util::Result<std::uint64_t>)> done);
 
-  // --- the promise surface ----------------------------------------------
-  // Every operation above, returning a Future instead of taking a
-  // callback — the building blocks of WorkflowManager and the examples.
-  Future<Ack> connect(net::Address usite);
-  Future<ajo::JobToken> submit(const ajo::AbstractJobObject& job);
-  Future<ajo::Outcome> query(ajo::JobToken token,
-                             ajo::QueryService::Detail detail);
-  Future<std::vector<JobEntry>> list();
-  Future<Ack> control(ajo::JobToken token,
-                      ajo::ControlService::Command command);
-  Future<uspace::FileBlob> fetch_output(ajo::JobToken token,
-                                        const std::string& name);
-  Future<xfer::BundleStats> push_tree(
-      ajo::JobToken token,
-      std::vector<std::pair<std::string, uspace::FileBlob>> files);
-  Future<std::vector<uspace::FileBlob>> fetch_tree(
-      ajo::JobToken token, std::vector<std::string> names);
-  Future<ajo::Outcome> wait_for_completion(ajo::JobToken token,
-                                           sim::Time interval);
-  Future<SessionGrant> open_session(std::int64_t requested_ttl_seconds = 0);
-  Future<SessionGrant> refresh_session();
-  Future<Ack> close_session();
-  Future<std::vector<StorageEntry>> list_storages();
-  Future<std::vector<std::string>> storage_files(ajo::JobToken token);
-  Future<std::uint64_t> reap_storage(ajo::JobToken token);
-
   // --- MonitorService ----------------------------------------------------
   /// Fetches the Usite's current metrics snapshot (gateway, NJS, batch,
   /// and — with a grid-shared registry — network series).
@@ -448,9 +420,7 @@ class UnicoreClient {
   /// Fetches the recorded trace timeline of one of the caller's jobs.
   void fetch_trace(ajo::JobToken token,
                    std::function<void(util::Result<obs::TraceTimeline>)> done);
-  /// Fetches the NJS journal / recovery diagnostics. Requires the
-  /// kFeatureJournalInspect channel feature (negotiated in the hello
-  /// exchange); v1 servers reject the request.
+  /// Fetches the NJS journal / recovery diagnostics.
   void inspect_journal(std::function<void(util::Result<JournalInfo>)> done);
 
   /// Sends one chunked-transfer operation over the *main* channel
@@ -473,8 +443,8 @@ class UnicoreClient {
   // --- the generic request path (internal) -------------------------------
   /// Sends one request of `Codec`'s kind and decodes the reply with its
   /// codec. All named operations above are thin wrappers around this;
-  /// callers outside the client use those (or the promise surface), not
-  /// this free-form payload overload.
+  /// callers outside the client use those, not this free-form payload
+  /// overload.
   template <typename Codec>
   void call(util::Bytes payload,
             std::function<void(util::Result<typename Codec::Reply>)> done) {

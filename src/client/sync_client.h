@@ -1,8 +1,8 @@
 // Blocking facade over UnicoreClient for tests and examples: each call
-// starts the operation through the promise surface and steps the
-// simulation engine until the future settles, turning the asynchronous
-// protocol into plain return values. Only usable from code that owns
-// the engine loop — i.e. drivers, never from inside an event handler.
+// starts the callback operation and steps the simulation engine until
+// its completion fires, turning the asynchronous protocol into plain
+// return values. Only usable from code that owns the engine loop — i.e.
+// drivers, never from inside an event handler.
 #pragma once
 
 #include <optional>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "client/client.h"
-#include "client/future.h"
 #include "client/workflow.h"
 #include "sim/engine.h"
 
@@ -21,17 +20,20 @@ class SyncClient {
   SyncClient(sim::Engine& engine, UnicoreClient& client)
       : engine_(engine), client_(client) {}
 
-  /// Pumps the engine until `future` settles, then returns its result —
-  /// the bridge from any Future-returning call (UnicoreClient promise
-  /// surface, WorkflowManager::one_run) to straight-line driver code.
-  template <typename T>
-  util::Result<T> wait(Future<T> future) {
-    while (!future.ready() && engine_.step()) {
+  /// The bridge from any callback operation to straight-line driver
+  /// code: `start` receives the completion callback to pass on, and the
+  /// engine is pumped until it fires. `R` is the completion's argument
+  /// type — util::Result<T> or util::Status.
+  template <typename R, typename Start>
+  R await(Start&& start) {
+    std::optional<R> result;
+    start([&result](R r) { result = std::move(r); });
+    while (!result.has_value() && engine_.step()) {
     }
-    if (!future.ready())
+    if (!result.has_value())
       return util::make_error(util::ErrorCode::kInternal,
                               "event queue drained before the reply");
-    return future.result();
+    return std::move(*result);
   }
 
   util::Status connect(net::Address usite);
@@ -76,21 +78,6 @@ class SyncClient {
   UnicoreClient& async() { return client_; }
 
  private:
-  /// Starts an async operation and pumps the engine until its callback
-  /// fires. `start` receives the completion callback to pass on. Used
-  /// for the few operations without a Future overload.
-  template <typename T, typename Start>
-  util::Result<T> await(Start&& start) {
-    std::optional<util::Result<T>> result;
-    start([&result](util::Result<T> r) { result = std::move(r); });
-    while (!result.has_value() && engine_.step()) {
-    }
-    if (!result.has_value())
-      return util::make_error(util::ErrorCode::kInternal,
-                              "event queue drained before the reply");
-    return std::move(*result);
-  }
-
   sim::Engine& engine_;
   UnicoreClient& client_;
 };

@@ -75,53 +75,37 @@ Result<ajo::AbstractJobObject> WorkflowManager::compile(
   return job;
 }
 
-Future<WorkflowRun> WorkflowManager::one_run(
-    const std::vector<WorkflowStep>& steps,
-    const WorkflowParameters& parameters, bool wait) {
-  Promise<WorkflowRun> promise;
+void WorkflowManager::one_run(const std::vector<WorkflowStep>& steps,
+                              const WorkflowParameters& parameters,
+                              RunHandler done, bool wait) {
   auto compiled = compile(steps, parameters);
-  if (!compiled) {
-    promise.set(compiled.error());
-    return promise.future();
-  }
+  if (!compiled) return done(compiled.error());
   auto job =
       std::make_shared<ajo::AbstractJobObject>(std::move(compiled.value()));
   const sim::Time poll = parameters.poll_interval;
 
-  auto submit_and_wait = [this, promise, job, poll, wait] {
-    client_.submit(*job, [this, promise, poll,
+  auto submit_and_wait = [this, done, job, poll, wait] {
+    client_.submit(*job, [this, done, poll,
                           wait](Result<ajo::JobToken> token) {
-      if (!token) {
-        promise.set(token.error());
-        return;
-      }
+      if (!token) return done(token.error());
       WorkflowRun run;
       run.token = token.value();
-      if (!wait) {
-        promise.set(std::move(run));
-        return;
-      }
+      if (!wait) return done(std::move(run));
       auto pending = std::make_shared<WorkflowRun>(std::move(run));
       client_.wait_for_completion(
           token.value(), poll,
-          [this, promise, pending](Result<ajo::Outcome> outcome) {
-            if (!outcome) {
-              promise.set(outcome.error());
-              return;
-            }
+          [this, done, pending](Result<ajo::Outcome> outcome) {
+            if (!outcome) return done(outcome.error());
             pending->outcome = std::move(outcome.value());
             collect_steps(*pending);
-            if (!options_.clean_job_storages) {
-              promise.set(std::move(*pending));
-              return;
-            }
+            if (!options_.clean_job_storages) return done(std::move(*pending));
             // Best-effort quota hygiene: a failed reap (job pinned,
             // server restarted, ...) still resolves the run.
             client_.reap_storage(
                 pending->token,
-                [promise, pending](Result<std::uint64_t> freed) {
+                [done, pending](Result<std::uint64_t> freed) {
                   pending->storage_reaped = freed.ok();
-                  promise.set(std::move(*pending));
+                  done(std::move(*pending));
                 });
           });
     });
@@ -130,22 +114,18 @@ Future<WorkflowRun> WorkflowManager::one_run(
   if (options_.use_session && !client_.has_session()) {
     client_.open_session(
         options_.session_ttl,
-        [promise, submit_and_wait](Result<SessionGrant> grant) {
-          if (!grant) {
-            promise.set(grant.error());
-            return;
-          }
+        [done, submit_and_wait](Result<SessionGrant> grant) {
+          if (!grant) return done(grant.error());
           submit_and_wait();
         });
   } else {
     submit_and_wait();
   }
-  return promise.future();
 }
 
-Future<WorkflowRun> WorkflowManager::one_run(
-    const std::vector<std::string>& command_lines,
-    const WorkflowParameters& parameters, bool wait) {
+void WorkflowManager::one_run(const std::vector<std::string>& command_lines,
+                              const WorkflowParameters& parameters,
+                              RunHandler done, bool wait) {
   std::vector<WorkflowStep> steps;
   steps.reserve(command_lines.size());
   for (std::size_t i = 0; i < command_lines.size(); ++i) {
@@ -155,7 +135,7 @@ Future<WorkflowRun> WorkflowManager::one_run(
     if (i > 0) step.after.push_back(steps.back().name);
     steps.push_back(std::move(step));
   }
-  return one_run(steps, parameters, wait);
+  one_run(steps, parameters, std::move(done), wait);
 }
 
 }  // namespace unicore::client

@@ -1,6 +1,6 @@
-// WorkflowManager — the portal convenience layer over UnicoreClient's
-// promise surface, modelled on the PyUnicoreManager wrapper around
-// PyUNICORE: one_run() takes a list of steps, compiles them into an AJO
+// WorkflowManager — the portal convenience layer over UnicoreClient,
+// modelled on the PyUnicoreManager wrapper around PyUNICORE: one_run()
+// takes a list of steps, compiles them into an AJO
 // DAG, consigns it (over a gateway session token by default), waits for
 // completion, and hands back the per-step stdout/stderr — one call
 // instead of a hand-written submit/poll/fetch chain.
@@ -11,6 +11,7 @@
 // list is full, in that case would clean it up".
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -18,7 +19,6 @@
 #include "ajo/job.h"
 #include "ajo/outcome.h"
 #include "client/client.h"
-#include "client/future.h"
 #include "resources/resource_set.h"
 #include "util/result.h"
 
@@ -80,21 +80,23 @@ struct WorkflowOptions {
 class WorkflowManager {
  public:
   using Options = WorkflowOptions;
+  using RunHandler = std::function<void(util::Result<WorkflowRun>)>;
 
   explicit WorkflowManager(UnicoreClient& client, Options options = {});
 
   /// Compiles `steps` into an AJO DAG, consigns it, and — with wait —
-  /// polls until terminal and collects per-step results. The client
-  /// must already be connected.
-  Future<WorkflowRun> one_run(const std::vector<WorkflowStep>& steps,
-                              const WorkflowParameters& parameters,
-                              bool wait = true);
+  /// polls until terminal and collects per-step results; `done` fires
+  /// once with the run or the first error. The client must already be
+  /// connected.
+  void one_run(const std::vector<WorkflowStep>& steps,
+               const WorkflowParameters& parameters, RunHandler done,
+               bool wait = true);
 
   /// The PyUnicoreManager shorthand: a plain list of command lines,
   /// run as a sequential chain (each line one step, ordered).
-  Future<WorkflowRun> one_run(const std::vector<std::string>& command_lines,
-                              const WorkflowParameters& parameters,
-                              bool wait = true);
+  void one_run(const std::vector<std::string>& command_lines,
+               const WorkflowParameters& parameters, RunHandler done,
+               bool wait = true);
 
   /// The DAG compiler alone (what one_run consigns); exposed so tests
   /// can check the graph without a server.

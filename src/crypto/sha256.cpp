@@ -339,6 +339,9 @@ void compress_portable(std::array<std::uint32_t, 8>& state_,
 }  // namespace
 
 Sha256& Sha256::update(util::ByteView data) {
+  // An empty view may carry a null pointer, which memcpy must not see
+  // even for a zero length.
+  if (data.empty()) return *this;
   total_bits_ += static_cast<std::uint64_t>(data.size()) * 8;
   std::size_t offset = 0;
   if (buffered_ > 0) {

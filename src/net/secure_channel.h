@@ -7,15 +7,22 @@
 // is encrypt-then-MAC with per-direction keys and sequence numbers.
 //
 // Handshake (3 messages, asynchronous):
-//   client -> ClientHello  { client_random, dh_public }
+//   client -> ClientHello  { client_random, dh_public, version, features }
 //   server -> ServerHello  { server_random, dh_public, cert chain,
-//                            signature over transcript }
+//                            version, signature over transcript }
 //   client -> ClientCert   { cert chain, signature over transcript }
 // Either side aborts with an Alert on validation failure; a lost
 // handshake message surfaces as a timeout (the link may drop packets).
 //
-// Session resumption (v2 feature, see docs/PROTOCOL.md): a client
-// holding a session ticket from a prior full handshake sends
+// Both client hellos end in a `u8 version | u64 features` tail: the
+// version must be kProtocolVersion and the feature word, reserved, must
+// be 0. Anything else — or a hello without the tail — fails the
+// handshake with kFailedPrecondition and an Alert (docs/PROTOCOL.md,
+// "Protocol baseline (v3)"). Application messages always travel as
+// batched records (kRecordBatch).
+//
+// Session resumption (see docs/PROTOCOL.md): a client holding a
+// session ticket from a prior full handshake sends
 // ClientHelloResumed instead; the server answers ServerHelloResumed
 // (accept, 1 round trip, zero public-key operations) or HelloRetry
 // (refuse — the client transparently restarts with a full ClientHello
@@ -44,43 +51,11 @@ class ThreadPool;
 
 namespace unicore::net {
 
-/// Current protocol version of the secure channel. Version 2 adds the
-/// version/feature negotiation fields to the hello exchange; version 1
-/// peers simply omit them and both sides fall back to the v1 feature
-/// set (see PROTOCOL.md "Version negotiation").
-constexpr std::uint8_t kProtocolVersion = 2;
-
-/// Feature bits exchanged during the hello negotiation. The effective
-/// feature set of a channel is the AND of what both sides advertise.
-constexpr std::uint64_t kFeatureJournalInspect = 1ull << 0;
-/// Peer understands the chunked transfer protocol (kXferBundleOpen /
-/// kXferChunk / kXferBundleClose) — together with kFeatureBundleXfer,
-/// which the server requires as well. Without both, every transfer
-/// request is refused with kFailedPrecondition; no sender falls back.
-constexpr std::uint64_t kFeatureChunkedXfer = 1ull << 1;
-/// Peer supports session resumption (ticket in the ServerFinished tail,
-/// ClientHelloResumed / ServerHelloResumed / HelloRetry messages).
-constexpr std::uint64_t kFeatureResumption = 1ull << 2;
-/// Peer understands kRecordBatch frames: multiple sealed records
-/// coalesced into one wire message, large payloads fragmented across
-/// records (see docs/PROTOCOL.md "Batched records"). Without it every
-/// application message travels as a single kRecord frame.
-constexpr std::uint64_t kFeatureBatchRecords = 1ull << 3;
-/// Peer speaks the portal facade: gateway-issued session tokens
-/// (kSessionOpen / kSessionRefresh / kSessionClose), token-authenticated
-/// requests (the kTokenRequest envelope), and managed job storages
-/// (kStorageList / kStorageFiles / kStorageReap). Without it the portal
-/// request kinds are refused and clients stay on per-request
-/// certificate authentication.
-constexpr std::uint64_t kFeaturePortal = 1ull << 4;
-/// Peer understands bundle transfers: one open carries the manifests of
-/// many files (a single file is a bundle of one), whose chunks
-/// interleave over kXferChunk frames tagged with an in-bundle file
-/// index. Required, with kFeatureChunkedXfer, by every transfer request.
-constexpr std::uint64_t kFeatureBundleXfer = 1ull << 5;
-constexpr std::uint64_t kDefaultFeatures =
-    kFeatureJournalInspect | kFeatureChunkedXfer | kFeatureResumption |
-    kFeatureBatchRecords | kFeaturePortal | kFeatureBundleXfer;
+/// The one protocol version of the secure channel. Every peer speaks
+/// the v3 baseline — batched records, session resumption, the portal
+/// facade, journal inspection and bundle transfers — so there is
+/// nothing left to negotiate but the version byte itself.
+constexpr std::uint8_t kProtocolVersion = 3;
 
 class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
  public:
@@ -89,12 +64,6 @@ class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
     const crypto::TrustStore* trust = nullptr;  // to validate the peer
     std::uint8_t required_peer_usage = 0;    // e.g. kUsageServerAuth
     sim::Time handshake_timeout = sim::sec(30);
-    /// Highest protocol version we speak. Setting 1 emits v1 wire
-    /// messages (no negotiation tail) — used by tests to prove
-    /// backward compatibility.
-    std::uint8_t protocol_version = kProtocolVersion;
-    /// Features we advertise (only meaningful for version >= 2).
-    std::uint64_t features = kDefaultFeatures;
     /// Server side: mints and redeems session tickets. nullptr means
     /// this server never offers resumption (resumed hellos are answered
     /// with HelloRetry and clients fall back to full handshakes).
@@ -132,8 +101,8 @@ class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
       std::shared_ptr<Endpoint> endpoint, Config config,
       EstablishedHandler on_established);
 
-  /// Encrypts and sends an application message. Must not be called
-  /// before the channel is established.
+  /// Queues an application message for the end-of-instant flush, which
+  /// seals it into a kRecordBatch frame. Ignored unless established.
   void send(util::Bytes plaintext);
 
   /// Installs the application message handler.
@@ -156,15 +125,9 @@ class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
     return peer_certificate_;
   }
 
-  /// Negotiated protocol version: min of both sides' offers; 1 when the
-  /// peer predates negotiation. Meaningful once established.
+  /// Protocol version recorded from the peer's hello (always
+  /// kProtocolVersion once established; 0 before).
   std::uint8_t negotiated_version() const { return negotiated_version_; }
-  /// Negotiated feature set: AND of both sides' advertised features
-  /// (empty for v1 peers).
-  std::uint64_t negotiated_features() const { return negotiated_features_; }
-  bool feature_enabled(std::uint64_t feature) const {
-    return (negotiated_features_ & feature) != 0;
-  }
 
   const std::string& remote_host() const { return endpoint_->remote_host(); }
 
@@ -173,7 +136,7 @@ class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
   std::uint64_t messages_received() const { return recv_seq_; }
 
   /// Batched-record diagnostics: wire frames carrying coalesced records
-  /// in each direction (0 when the feature was not negotiated).
+  /// in each direction.
   std::uint64_t batch_frames_sent() const { return batch_frames_sent_; }
   std::uint64_t batch_frames_received() const {
     return batch_frames_received_;
@@ -206,7 +169,6 @@ class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
                                    const util::Bytes& wire);
   void handle_server_hello_resumed(util::ByteReader& reader);
   void handle_hello_retry();
-  void handle_record(util::ByteReader& reader);
   void handle_record_batch(util::ByteReader& reader, util::Bytes& wire);
   void flush_send_queue();
   void dispatch_plaintext(util::Bytes&& plaintext);
@@ -235,8 +197,7 @@ class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
   std::uint64_t peer_dh_public_ = 0;
   util::Bytes transcript_;  // running concatenation of handshake bodies
   crypto::Certificate peer_certificate_;
-  std::uint8_t negotiated_version_ = 1;
-  std::uint64_t negotiated_features_ = 0;
+  std::uint8_t negotiated_version_ = 0;
   /// PRK of the handshake (full: extracted from the DH secret; resumed:
   /// carried over from the ticket). Source material for tickets and for
   /// resumed key schedules — never sent on the wire in the clear.
@@ -249,7 +210,7 @@ class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
   std::uint64_t recv_seq_ = 0;
   std::optional<sim::EventId> timeout_event_;
 
-  // --- batched record pipeline (kFeatureBatchRecords) -------------------
+  // --- batched record pipeline -------------------------------------------
   /// Messages queued by send() awaiting the end-of-instant flush that
   /// coalesces them into kRecordBatch frames.
   std::vector<util::Bytes> send_queue_;

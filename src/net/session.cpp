@@ -16,7 +16,6 @@ Bytes SessionTicketManager::issue(const ResumptionState& state,
   ByteWriter plain;
   plain.blob(state.master_secret);
   plain.blob(state.peer_certificate.der());
-  plain.u64(state.features);
   plain.i64(now);
   plain.u64(epoch_);
   plain.u64(trust_ != nullptr ? trust_->generation() : 0);
@@ -57,7 +56,6 @@ Result<ResumptionState> SessionTicketManager::redeem(util::ByteView ticket,
     ResumptionState state;
     state.master_secret = plain.blob();
     Bytes cert_der = plain.blob();
-    state.features = plain.u64();
     std::int64_t issued_at = plain.i64();
     std::uint64_t epoch = plain.u64();
     std::uint64_t trust_generation = plain.u64();

@@ -18,12 +18,10 @@ const char* request_kind_name(RequestKind kind) {
     case RequestKind::kQuery: return "query";
     case RequestKind::kList: return "list";
     case RequestKind::kControl: return "control";
-    case RequestKind::kFetchOutput: return "fetch-output";
     case RequestKind::kResourcePages: return "resource-pages";
     case RequestKind::kGetBundle: return "get-bundle";
     case RequestKind::kForwardConsign: return "forward-consign";
     case RequestKind::kDeliverFile: return "deliver-file";
-    case RequestKind::kFetchFile: return "fetch-file";
     case RequestKind::kPeerControl: return "peer-control";
     case RequestKind::kMonitorMetrics: return "monitor-metrics";
     case RequestKind::kMonitorTrace: return "monitor-trace";

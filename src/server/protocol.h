@@ -10,8 +10,10 @@
 //                                                    for forwarded jobs)
 //   kTokenRequest u8 | kind u8 | request_id u64 | token blob | payload
 //                 (portal facade: the bearer token selects the identity
-//                  instead of the channel's peer certificate; requires
-//                  the negotiated kFeaturePortal channel feature)
+//                  instead of the channel's peer certificate)
+//
+// Every kind below is part of the v3 channel baseline (docs/PROTOCOL.md):
+// no kind is negotiated, and a retired number is never reused.
 #pragma once
 
 #include <cstdint>
@@ -40,27 +42,25 @@ enum class RequestKind : std::uint8_t {
   kQuery = 2,          // JMC: token + detail
   kList = 3,           // JMC
   kControl = 4,        // JMC: token + command
-  kFetchOutput = 5,    // JMC: token + file name
+  // 5 was kFetchOutput (whole-file output download), retired: outputs
+  // travel as bundles of one over the transfer kinds below.
   kResourcePages = 6,  // JPA: resource info for the Usite's Vsites
   kGetBundle = 7,      // "applet" download: bundle name
   kForwardConsign = 8, // peer NJS: ForwardedConsignment
   kDeliverFile = 9,    // peer NJS: token + name + blob
-  kFetchFile = 10,     // peer NJS: token + name
+  // 10 was kFetchFile (whole-file peer fetch), retired likewise.
   kPeerControl = 11,   // peer NJS: token + command
   kMonitorMetrics = 12,  // MonitorService: Usite metrics snapshot
   kMonitorTrace = 13,    // MonitorService: token -> job trace timeline
   kJournalInspect = 14,  // recovery diagnostics: NJS journal stats
-                         // (requires the kFeatureJournalInspect channel
-                         // feature — v1 peers get kUnimplemented)
   // 15 and 17 were the retired single-file transfer open/close; never
   // reuse them. kXferChunk belongs to the transfer family below.
   kXferChunk = 16,  // one chunk (push) or one chunk request (pull), each
                     // tagged with its in-bundle file index
-  // Portal facade (docs/PORTAL.md). All six require the negotiated
-  // kFeaturePortal channel feature — v1 peers get kFailedPrecondition.
-  // kSessionOpen authenticates the channel's peer certificate (the one
-  // full- or resumed-handshake contact) and mints a bearer token; the
-  // other five normally ride the kTokenRequest envelope.
+  // Portal facade (docs/PORTAL.md). kSessionOpen authenticates the
+  // channel's peer certificate (the one full- or resumed-handshake
+  // contact) and mints a bearer token; the other five normally ride the
+  // kTokenRequest envelope.
   kSessionOpen = 18,     // ttl request -> token + expiry + login
   kSessionRefresh = 19,  // envelope token -> extended expiry
   kSessionClose = 20,    // envelope token -> explicit logout
@@ -70,12 +70,10 @@ enum class RequestKind : std::uint8_t {
   // The chunked transfer engine (src/xfer/, docs/DATA.md §3): one open
   // carries the manifests of up to xfer::kMaxBundleFiles files — a
   // single file is a bundle of one; their chunks interleave over
-  // kXferChunk frames; one close commits the lot. All three kinds
-  // require the kFeatureChunkedXfer AND kFeatureBundleXfer channel
-  // features — a peer without them gets kFailedPrecondition, and no
-  // sender falls back to another path. Bodies start with a xfer::Role
-  // byte that selects the authentication path (push / peer pull: server
-  // certificate; client pull / client push: user certificate).
+  // kXferChunk frames; one close commits the lot. Bodies start with a
+  // xfer::Role byte that selects the authentication path (push / peer
+  // pull: server certificate; client pull / client push: user
+  // certificate).
   kXferBundleOpen = 24,   // open or resume a bundle by durable key
   kXferBundleClose = 25,  // commit (push) / release (pull) the bundle
 };

@@ -250,7 +250,6 @@ void UsiteServer::accept_session(std::shared_ptr<net::Endpoint> endpoint,
   channel_config.credential = credential_;
   channel_config.trust = &gateway_.trust_store();
   channel_config.required_peer_usage = 0;  // user or server; checked per-op
-  channel_config.features = advertised_features_;
   channel_config.ticket_manager = &ticket_manager_;
   channel_config.record_pool = record_pool_;
 
@@ -368,24 +367,6 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
         });
   };
 
-  // The portal facade — its six request kinds and the token envelope —
-  // is negotiated at the hello exchange like the other v2 features.
-  const bool portal_kind = kind == RequestKind::kSessionOpen ||
-                           kind == RequestKind::kSessionRefresh ||
-                           kind == RequestKind::kSessionClose ||
-                           kind == RequestKind::kStorageList ||
-                           kind == RequestKind::kStorageFiles ||
-                           kind == RequestKind::kStorageReap;
-  if ((portal_kind || token.has_value()) &&
-      !session->channel->feature_enabled(net::kFeaturePortal))
-    return reply_error(
-        request_id,
-        util::make_error(ErrorCode::kFailedPrecondition,
-                         "portal facade requires the v2 channel feature "
-                         "(peer negotiated v" +
-                             std::to_string(
-                                 session->channel->negotiated_version()) +
-                             ")"));
   // Resolves the caller: the envelope's bearer token when present (the
   // channel may then belong to a portal pooling many users), otherwise
   // the channel's peer certificate.
@@ -501,22 +482,9 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
                                       encode_forwarded(c)));
     }
     case RequestKind::kJournalInspect:
-      // Negotiated at the hello exchange: a v1 channel never agreed to
-      // this request kind, so it is refused before touching the NJS.
-      if (!session->channel->feature_enabled(net::kFeatureJournalInspect))
-        return reply_error(
-            request_id,
-            util::make_error(ErrorCode::kFailedPrecondition,
-                             "journal-inspect requires the v2 channel "
-                             "feature (peer negotiated v" +
-                                 std::to_string(
-                                     session->channel->negotiated_version()) +
-                                 ")"));
-      [[fallthrough]];
     case RequestKind::kQuery:
     case RequestKind::kList:
     case RequestKind::kControl:
-    case RequestKind::kFetchOutput:
     case RequestKind::kMonitorMetrics:
     case RequestKind::kMonitorTrace:
     case RequestKind::kStorageList:
@@ -531,7 +499,6 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
                                       identity.value().user, rest));
     }
     case RequestKind::kDeliverFile:
-    case RequestKind::kFetchFile:
     case RequestKind::kPeerControl: {
       // Peer-NJS operations: the channel peer must be a UNICORE server.
       auto status = gw.authenticate_server(
@@ -550,19 +517,6 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
     case RequestKind::kXferChunk:
     case RequestKind::kXferBundleOpen:
     case RequestKind::kXferBundleClose: {
-      // Negotiated at the hello exchange like kJournalInspect: a channel
-      // that did not agree to both transfer features never sees the
-      // protocol, and no sender falls back to another path.
-      if (!session->channel->feature_enabled(net::kFeatureChunkedXfer) ||
-          !session->channel->feature_enabled(net::kFeatureBundleXfer))
-        return reply_error(
-            request_id,
-            util::make_error(ErrorCode::kFailedPrecondition,
-                             "chunked transfer requires the chunked and "
-                             "bundle channel features (peer negotiated v" +
-                                 std::to_string(
-                                     session->channel->negotiated_version()) +
-                                 ")"));
       // The leading Role byte picks the authentication path: pushes and
       // peer pulls are NJS–NJS (server certificate), client pulls and
       // client pushes are JMC traffic (user certificate + ownership
@@ -715,17 +669,6 @@ Bytes UsiteServer::njs_execute(std::uint64_t session_id, ByteReader& packed,
           return make_error_reply(request_id, status.error());
         return make_ok_reply(request_id, {});
       }
-      case RequestKind::kFetchOutput: {
-        JobToken token = packed.u64();
-        std::string name = packed.str();
-        if (auto status = check_owner(token); !status.ok())
-          return make_error_reply(request_id, status.error());
-        auto blob = njs_for(token)->read_output(token, name);
-        if (!blob) return make_error_reply(request_id, blob.error());
-        ByteWriter out;
-        blob.value().encode(out);
-        return make_ok_reply(request_id, out.bytes());
-      }
       case RequestKind::kResourcePages: {
         auto pages = njs_cluster_.primary().resource_pages();
         ByteWriter out;
@@ -743,17 +686,6 @@ Bytes UsiteServer::njs_execute(std::uint64_t session_id, ByteReader& packed,
             !status.ok())
           return make_error_reply(request_id, status.error());
         return make_ok_reply(request_id, {});
-      }
-      case RequestKind::kFetchFile: {
-        JobToken token = packed.u64();
-        std::string name = packed.str();
-        njs::Njs* replica = njs_for(token);
-        if (replica == nullptr) return replica_down(token);
-        auto blob = replica->fetch_file(token, name);
-        if (!blob) return make_error_reply(request_id, blob.error());
-        ByteWriter out;
-        blob.value().encode(out);
-        return make_ok_reply(request_id, out.bytes());
       }
       case RequestKind::kPeerControl: {
         JobToken token = packed.u64();
@@ -1025,7 +957,6 @@ UsiteServer::PeerConnection& UsiteServer::peer_connection(
   pool_config.channel.credential = credential_;
   pool_config.channel.trust = &gateway_.trust_store();
   pool_config.channel.required_peer_usage = crypto::kUsageServerAuth;
-  pool_config.channel.features = advertised_features_;
   pool_config.channel.session_cache = &peer_sessions_;
   pool_config.channel.record_pool = record_pool_;
   connection->pool =
@@ -1258,7 +1189,6 @@ std::shared_ptr<XferRails> UsiteServer::peer_rails(const std::string& usite) {
   config.required_peer_usage = crypto::kUsageServerAuth;
   config.request_timeout = peer_request_timeout_;
   config.session_cache = &peer_sessions_;
-  config.features = advertised_features_;
   config.record_pool = record_pool_;
   auto rails = XferRails::create(engine_, network_, rng_, std::move(config));
   peer_rails_[usite] = rails;

@@ -227,16 +227,6 @@ class UsiteServer : public njs::PeerLink {
   void set_record_pool(util::ThreadPool* pool) { record_pool_ = pool; }
   util::ThreadPool* record_pool() const { return record_pool_; }
 
-  /// Feature bits this server advertises in the secure-channel
-  /// handshake (both its listener and its outbound peer channels).
-  /// Clearing net::kFeatureChunkedXfer or net::kFeatureBundleXfer
-  /// emulates an old deployment that refuses every chunked transfer.
-  /// Must be set before channels are established.
-  void set_advertised_features(std::uint64_t features) {
-    advertised_features_ = features;
-  }
-  std::uint64_t advertised_features() const { return advertised_features_; }
-
   xfer::Service& xfer_service() { return *xfer_services_[0]; }
   /// NJS replica `index`'s transfer receiver (0 == xfer_service()).
   xfer::Service& xfer_service_replica(std::size_t index) {
@@ -340,7 +330,6 @@ class UsiteServer : public njs::PeerLink {
   std::size_t transfer_streams_ = 4;
   std::map<std::string, std::shared_ptr<XferRails>> peer_rails_;
   TransferStats transfer_stats_;
-  std::uint64_t advertised_features_ = net::kDefaultFeatures;
   util::ThreadPool* record_pool_ = nullptr;
   std::map<std::string, crypto::SoftwareBundle> bundles_;
 

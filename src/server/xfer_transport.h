@@ -46,9 +46,6 @@ class XferRails : public xfer::ChunkTransport,
     /// Session-resumption cache shared with the owner's other channels
     /// toward the same peer; nullptr disables resumption on the rails.
     net::SessionCache* session_cache = nullptr;
-    /// Feature bits to advertise; rails always require the chunked and
-    /// bundle transfer features on top of these.
-    std::uint64_t features = net::kDefaultFeatures;
     /// Worker pool for each rail channel's batched record crypto.
     util::ThreadPool* record_pool = nullptr;
   };

@@ -1,6 +1,7 @@
 // Robustness: the decoders must reject arbitrary and mutated inputs
 // gracefully (error Results, never crashes or hangs) — everything they
-// see arrives from the network.
+// see arrives from the network. That includes the secure channel's own
+// handshake and record decoders, fed through a raw Endpoint.
 #include <gtest/gtest.h>
 
 #include "ajo/codec.h"
@@ -11,6 +12,8 @@
 #include "asn1/der.h"
 #include "batch/target_system.h"
 #include "crypto/x509.h"
+#include "net/network.h"
+#include "net/secure_channel.h"
 #include "njs/njs.h"
 #include "resources/resource_page.h"
 #include "uspace/blob.h"
@@ -346,6 +349,286 @@ TEST_P(XferDecoderFuzz, MutatedJournalRecordsNeverCrashRecovery) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XferDecoderFuzz,
+                         ::testing::Range<std::uint64_t>(0, 4));
+
+// ---- the secure channel's wire decoders ------------------------------------
+//
+// A raw Endpoint feeds random bytes and mutations of valid encodings to a
+// SecureChannel in each state that parses peer bytes: a server awaiting
+// ClientHello, a client awaiting ServerHello or the resumed reply, and an
+// established channel reading kRecordBatch frames. Whatever arrives, the
+// channel must end failed with an error — never throw out of the engine,
+// never crash (the sanitize preset runs these too).
+
+/// One random corruption of `wire`: 1-3 byte flips, a truncation, or
+/// appended junk.
+util::Bytes mutate(util::Rng& rng, util::Bytes wire) {
+  switch (rng.below(3)) {
+    case 0: {
+      int flips = 1 + static_cast<int>(rng.below(3));
+      for (int f = 0; f < flips; ++f)
+        wire[rng.below(wire.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.below(255));
+      break;
+    }
+    case 1:
+      wire.resize(rng.below(wire.size()));
+      break;
+    default:
+      util::append(wire, rng.bytes(1 + rng.below(16)));
+  }
+  return wire;
+}
+
+/// Identities shared by every round; each round builds a fresh engine and
+/// network, so one dead channel never leaks into the next input.
+struct ChannelFuzzIdentities {
+  util::Rng rng{41};
+  crypto::CertificateAuthority ca{fuzz_dn("CA"), rng, kEpoch,
+                                  10LL * 365 * 86'400};
+  crypto::TrustStore trust;
+  crypto::Credential server = ca.issue_credential(
+      fuzz_dn("server"), rng, kEpoch, 365 * 86'400,
+      crypto::kUsageServerAuth | crypto::kUsageDigitalSignature);
+  crypto::Credential client = ca.issue_credential(
+      fuzz_dn("client"), rng, kEpoch, 365 * 86'400,
+      crypto::kUsageClientAuth | crypto::kUsageDigitalSignature);
+
+  ChannelFuzzIdentities() { trust.add_root(ca.certificate()); }
+
+  net::SecureChannel::Config server_config() const {
+    net::SecureChannel::Config config;
+    config.credential = server;
+    config.trust = &trust;
+    config.required_peer_usage = crypto::kUsageClientAuth;
+    return config;
+  }
+  net::SecureChannel::Config client_config() const {
+    net::SecureChannel::Config config;
+    config.credential = client;
+    config.trust = &trust;
+    config.required_peer_usage = crypto::kUsageServerAuth;
+    return config;
+  }
+};
+
+/// One round: an engine, a network, the channel under test and its
+/// handshake result.
+struct ChannelFuzzRound {
+  explicit ChannelFuzzRound(const ChannelFuzzIdentities& ids) : ids(ids) {}
+
+  /// Runs the engine to quiescence; the handshake timeout guarantees a
+  /// channel still waiting on the raw peer settles too.
+  void run() { EXPECT_NO_THROW(engine.run()); }
+
+  void expect_failed() const {
+    ASSERT_TRUE(channel != nullptr);
+    EXPECT_TRUE(channel->failed());
+    EXPECT_FALSE(channel->established());
+  }
+
+  const ChannelFuzzIdentities& ids;
+  sim::Engine engine;
+  util::Rng rng{7};
+  net::Network network{engine, util::Rng(8)};
+  std::shared_ptr<net::Endpoint> raw;
+  std::shared_ptr<net::SecureChannel> channel;
+  util::Status status{util::make_error(util::ErrorCode::kInternal, "unset")};
+};
+
+/// A ClientHello with the v3 tail.
+util::Bytes valid_client_hello(util::Rng& rng) {
+  util::ByteWriter w;
+  w.u8(1);
+  w.blob(rng.bytes(32));
+  w.u64(rng.below(1ull << 40));
+  w.u8(net::kProtocolVersion);
+  w.u64(0);
+  return w.take();
+}
+
+/// A ClientHelloResumed: random, ticket, v3 tail, binder.
+util::Bytes valid_resumed_hello(util::Rng& rng) {
+  util::ByteWriter w;
+  w.u8(7);
+  w.blob(rng.bytes(32));
+  w.blob(rng.bytes(64));
+  w.u8(net::kProtocolVersion);
+  w.u64(0);
+  w.raw(rng.bytes(32));
+  return w.take();
+}
+
+/// A ServerHello shaped like a real one: the server's chain, the v3
+/// version echo, a signature (which cannot verify).
+util::Bytes valid_server_hello(util::Rng& rng,
+                               const crypto::Certificate& server) {
+  util::ByteWriter w;
+  w.u8(2);
+  w.blob(rng.bytes(32));
+  w.u64(rng.below(1ull << 40));
+  w.varint(1);
+  w.blob(server.der());
+  w.u8(net::kProtocolVersion);
+  w.u64(rng.below(1ull << 40));
+  return w.take();
+}
+
+/// A ServerHelloResumed: random, rotated ticket, lifetime, key
+/// confirmation.
+util::Bytes valid_resumed_reply(util::Rng& rng) {
+  util::ByteWriter w;
+  w.u8(8);
+  w.blob(rng.bytes(32));
+  w.blob(rng.bytes(64));
+  w.u64(3600);
+  w.raw(rng.bytes(32));
+  return w.take();
+}
+
+class ChannelDecoderFuzz : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  static const ChannelFuzzIdentities& ids() {
+    static const ChannelFuzzIdentities identities;
+    return identities;
+  }
+
+  /// Random bytes half the time (under a random type byte), a mutation
+  /// of `valid` the other half.
+  static util::Bytes input(util::Rng& rng, util::Bytes valid) {
+    if (rng.below(2) == 0) return mutate(rng, std::move(valid));
+    util::Bytes junk = rng.bytes(rng.below(160));
+    if (!junk.empty()) junk[0] = static_cast<std::uint8_t>(rng.below(12));
+    return junk;
+  }
+};
+
+TEST_P(ChannelDecoderFuzz, ServerAwaitingClientHelloFailsOnAnyInput) {
+  util::Rng rng(GetParam() ^ 0x4c4c);
+  for (int i = 0; i < 60; ++i) {
+    ChannelFuzzRound round(ids());
+    (void)round.network.listen(
+        {"server", 443}, [&round](std::shared_ptr<net::Endpoint> endpoint) {
+          round.channel = net::SecureChannel::as_server(
+              round.engine, round.rng, std::move(endpoint),
+              round.ids.server_config(),
+              [&round](util::Status s) { round.status = s; });
+        });
+    auto endpoint = round.network.connect("client", {"server", 443});
+    ASSERT_TRUE(endpoint.ok());
+    round.raw = endpoint.value();
+    round.raw->send(input(rng, rng.below(2) == 0 ? valid_client_hello(rng)
+                                                 : valid_resumed_hello(rng)));
+    round.run();
+    round.expect_failed();
+    EXPECT_FALSE(round.status.ok());
+  }
+}
+
+TEST_P(ChannelDecoderFuzz, ClientAwaitingServerReplyFailsOnAnyInput) {
+  util::Rng rng(GetParam() ^ 0x5d5d);
+  for (int i = 0; i < 60; ++i) {
+    ChannelFuzzRound round(ids());
+    // Every other round the client holds a ticket, so it sends
+    // ClientHelloResumed and parses the resumed reply instead.
+    const bool resume = i % 2 == 1;
+    net::SessionCache cache;
+    net::SecureChannel::Config config = ids().client_config();
+    if (resume) {
+      net::SessionCache::Entry entry;
+      entry.ticket = rng.bytes(64);
+      entry.master_secret = rng.bytes(32);
+      entry.server_certificate = ids().server.certificate;
+      entry.expires_at = kEpoch + 86'400;
+      cache.put("server", std::move(entry));
+      config.session_cache = &cache;
+    }
+    util::Bytes valid =
+        resume ? valid_resumed_reply(rng)
+               : valid_server_hello(rng, ids().server.certificate);
+    util::Bytes reply = input(rng, std::move(valid));
+    (void)round.network.listen(
+        {"server", 443},
+        [&round, reply](std::shared_ptr<net::Endpoint> endpoint) {
+          round.raw = std::move(endpoint);
+          // Answer the first hello only; anything after it (a full hello
+          // following a HelloRetry) meets silence and the timeout.
+          round.raw->set_receiver(
+              [&round, reply, answered = false](util::Bytes&&) mutable {
+                if (answered) return;
+                answered = true;
+                round.raw->send(reply);
+              });
+        });
+    auto endpoint = round.network.connect("client", {"server", 443});
+    ASSERT_TRUE(endpoint.ok());
+    round.channel = net::SecureChannel::as_client(
+        round.engine, round.rng, endpoint.value(), config,
+        [&round](util::Status s) { round.status = s; });
+    round.run();
+    round.expect_failed();
+    EXPECT_FALSE(round.status.ok());
+  }
+}
+
+TEST_P(ChannelDecoderFuzz, EstablishedChannelFailsOnCorruptRecordBatch) {
+  util::Rng rng(GetParam() ^ 0x6e6e);
+  for (int i = 0; i < 40; ++i) {
+    ChannelFuzzRound round(ids());
+    // client -> relay -> server. The relay forwards the handshake as is
+    // and swaps the first kRecordBatch frame for the fuzz input.
+    std::shared_ptr<net::Endpoint> to_server;
+    (void)round.network.listen(
+        {"server", 443}, [&round](std::shared_ptr<net::Endpoint> endpoint) {
+          round.channel = net::SecureChannel::as_server(
+              round.engine, round.rng, std::move(endpoint),
+              round.ids.server_config(),
+              [&round](util::Status s) { round.status = s; });
+        });
+    (void)round.network.listen(
+        {"relay", 443}, [&](std::shared_ptr<net::Endpoint> from_client) {
+          round.raw = std::move(from_client);
+          to_server = round.network.connect("relay", {"server", 443}).value();
+          round.raw->set_receiver([&](util::Bytes&& wire) {
+            if (!wire.empty() && wire[0] == 10) {  // kRecordBatch
+              util::Bytes fuzzed = input(rng, std::move(wire));
+              if (fuzzed.empty() || rng.below(2) == 0) {
+                // Random bytes under the kRecordBatch type byte.
+                fuzzed = rng.bytes(1 + rng.below(120));
+                fuzzed[0] = 10;
+              }
+              wire = std::move(fuzzed);
+            }
+            to_server->send(std::move(wire));
+          });
+          to_server->set_receiver(
+              [&](util::Bytes&& wire) { round.raw->send(std::move(wire)); });
+        });
+    auto endpoint = round.network.connect("client", {"relay", 443});
+    ASSERT_TRUE(endpoint.ok());
+    util::Status client_status = util::make_error(util::ErrorCode::kInternal,
+                                                  "unset");
+    auto client = net::SecureChannel::as_client(
+        round.engine, round.rng, endpoint.value(), ids().client_config(),
+        [&client_status](util::Status s) { client_status = s; });
+    round.run();
+    ASSERT_TRUE(client_status.ok()) << client_status.to_string();
+    ASSERT_TRUE(round.status.ok()) << round.status.to_string();
+
+    bool delivered = false;
+    round.channel->set_receiver([&delivered](util::Bytes&&) {
+      delivered = true;
+    });
+    std::vector<util::Bytes> messages{rng.bytes(1 + rng.below(64))};
+    if (rng.below(2) == 0) messages.push_back(rng.bytes(300 * 1024));
+    for (util::Bytes& message : messages) client->send(std::move(message));
+    round.run();
+    EXPECT_TRUE(round.channel->failed());
+    EXPECT_FALSE(delivered);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChannelDecoderFuzz,
                          ::testing::Range<std::uint64_t>(0, 4));
 
 }  // namespace

@@ -45,6 +45,16 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha256, EmptyUpdateAfterPartialBlock) {
+  // A partial block is buffered, then an empty (null-data) view arrives:
+  // the digest must not change, and no null pointer reaches memcpy.
+  Sha256 ctx;
+  ctx.update(std::string_view("abc"));
+  ctx.update(util::ByteView{});
+  ctx.update(std::string_view{});
+  EXPECT_EQ(ctx.finish(), sha256("abc"));
+}
+
 TEST(Sha256, ExactBlockSizeInputs) {
   // 55/56/63/64/65 bytes straddle the padding edge cases.
   for (std::size_t n : {55u, 56u, 63u, 64u, 65u, 119u, 120u, 128u}) {

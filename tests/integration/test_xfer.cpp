@@ -254,40 +254,6 @@ TEST(XferIntegration, PartitionResumeLandsInStoreWithExactRefcounts) {
   EXPECT_EQ(sites.ruka->chunk_store()->stats().total_refs, refs_before + 16);
 }
 
-TEST(XferIntegration, PeerWithoutTransferFeaturesFailsWithoutFallback) {
-  XferSites sites;
-  sites.snappy_sender();
-  // RUKA advertises neither transfer feature bit (an old deployment).
-  // There is one transfer path and no fallback: FZJ's delivery fails
-  // kFailedPrecondition as soon as the rail handshake settles, and no
-  // whole-blob request ever reaches RUKA.
-  sites.ruka->set_advertised_features(net::kFeatureJournalInspect);
-  auto blob = std::make_shared<const uspace::FileBlob>(
-      uspace::FileBlob::synthetic(8 << 20, 16));
-  sim::Time start = sites.grid.engine().now();
-  util::Status status = sites.deliver(blob, "refused.bin");
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code, util::ErrorCode::kFailedPrecondition);
-  EXPECT_LT(sites.grid.engine().now() - start, sim::sec(1));  // no retry ladder
-  EXPECT_EQ(sites.fz->transfer_stats().bundled, 1u);
-  EXPECT_EQ(sites.fz->transfer_stats().whole_blob, 0u);
-  EXPECT_EQ(sites.ruka->xfer_service().inbound_open(), 0u);
-  EXPECT_FALSE(
-      sites.ruka->njs().fetch_file_shared(sites.receiver, "refused.bin").ok());
-
-  // Fetches take the same single path and fail the same way.
-  std::optional<util::Result<std::vector<uspace::FileBlob>>> fetched;
-  sites.fz->fetch_files(
-      njs::RemoteJobHandle{"RUKA", sites.receiver}, {"stdout"},
-      [&](util::Result<std::vector<uspace::FileBlob>> r) { fetched = r; });
-  while (!fetched && sites.grid.engine().step()) {
-  }
-  ASSERT_TRUE(fetched.has_value());
-  ASSERT_FALSE(fetched->ok());
-  EXPECT_EQ(fetched->error().code, util::ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(sites.fz->transfer_stats().whole_blob, 0u);
-}
-
 TEST(XferIntegration, ClientFetchesLargeOutputChunked) {
   XferSites sites;
 
@@ -448,7 +414,9 @@ TEST(XferIntegration, ClientPushTreeStagesInputsAsOneBundle) {
   for (std::size_t i = 0; i < 25; ++i)
     inputs.emplace_back("mesh/part" + std::to_string(i),
                         uspace::FileBlob::synthetic(96 << 10, 700 + i));
-  auto stats = sync.wait(client->push_tree(token.value(), inputs));
+  auto stats = sync.await<util::Result<xfer::BundleStats>>([&](auto done) {
+    client->push_tree(token.value(), inputs, std::move(done));
+  });
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_EQ(stats.value().files, 25u);
   EXPECT_EQ(stats.value().bundles, 1u);
@@ -482,7 +450,10 @@ TEST(XferIntegration, ClientFetchTreeFetchesOutputsAsOneBundle) {
   sites.grid.engine().run();
 
   std::vector<std::string> names{"out0", "out1", "out2"};
-  auto blobs = sync.wait(client->fetch_tree(token.value(), names));
+  using Blobs = util::Result<std::vector<uspace::FileBlob>>;
+  auto blobs = sync.await<Blobs>([&](auto done) {
+    client->fetch_tree(token.value(), names, std::move(done));
+  });
   ASSERT_TRUE(blobs.ok()) << blobs.error().to_string();
   ASSERT_EQ(blobs.value().size(), 3u);
   for (std::size_t i = 0; i < names.size(); ++i) {
@@ -498,7 +469,9 @@ TEST(XferIntegration, ClientFetchTreeFetchesOutputsAsOneBundle) {
   auto session_only = sites.make_client(/*transfer_streams=*/0);
   client::SyncClient session_sync(sites.grid.engine(), *session_only);
   ASSERT_TRUE(session_sync.connect(sites.fz->address()).ok());
-  auto same = session_sync.wait(session_only->fetch_tree(token.value(), names));
+  auto same = session_sync.await<Blobs>([&](auto done) {
+    session_only->fetch_tree(token.value(), names, std::move(done));
+  });
   ASSERT_TRUE(same.ok()) << same.error().to_string();
   ASSERT_EQ(same.value().size(), 3u);
   EXPECT_EQ(same.value()[0].checksum(), blobs.value()[0].checksum());

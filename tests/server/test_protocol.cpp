@@ -125,10 +125,17 @@ TEST(Protocol, ForwardedConsignmentRoundTrip) {
 }
 
 TEST(Protocol, RequestKindNamesDistinct) {
+  // Kinds 1-11 minus the retired 5 (kFetchOutput) and 10 (kFetchFile),
+  // which have no name any more.
   std::set<std::string> names;
-  for (int k = 1; k <= 11; ++k)
+  for (int k = 1; k <= 11; ++k) {
+    if (k == 5 || k == 10) {
+      EXPECT_STREQ(request_kind_name(static_cast<RequestKind>(k)), "?");
+      continue;
+    }
     names.insert(request_kind_name(static_cast<RequestKind>(k)));
-  EXPECT_EQ(names.size(), 11u);
+  }
+  EXPECT_EQ(names.size(), 9u);
 }
 
 }  // namespace
