@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/log.h"
 
@@ -10,6 +11,20 @@ namespace unicore::batch {
 using util::ErrorCode;
 using util::Result;
 using util::Status;
+
+namespace {
+
+constexpr std::int64_t kNoQueuedDemand =
+    std::numeric_limits<std::int64_t>::max();
+
+// The EASY shadow's release order: earliest deadline first, and at one
+// deadline the smallest job first.
+constexpr auto release_order = [](const auto* a, const auto* b) {
+  return std::pair(a->limit_deadline, a->nodes_needed) <
+         std::pair(b->limit_deadline, b->nodes_needed);
+};
+
+}  // namespace
 
 const char* batch_job_state_name(BatchJobState s) {
   switch (s) {
@@ -28,7 +43,8 @@ BatchSubsystem::BatchSubsystem(sim::Engine& engine, util::Rng rng,
     : engine_(engine),
       rng_(std::move(rng)),
       config_(std::move(config)),
-      free_nodes_(config_.nodes) {}
+      free_nodes_(config_.nodes),
+      min_queued_nodes_(kNoQueuedDemand) {}
 
 Status BatchSubsystem::validate(const BatchRequest& request) const {
   const QueueConfig* queue = config_.find_queue(request.queue);
@@ -86,8 +102,9 @@ Result<BatchJobId> BatchSubsystem::submit(const std::string& script,
   job->result.submitted_at = engine_.now();
 
   BatchJobId id = job->id;
+  min_queued_nodes_ = std::min(min_queued_nodes_, job->nodes_needed);
+  queue_.push_back(job.get());
   jobs_[id] = std::move(job);
-  queue_.push_back(id);
   ++stats_.jobs_submitted;
   if (submitted_counter_) submitted_counter_->increment();
   update_gauges();
@@ -97,68 +114,69 @@ Result<BatchJobId> BatchSubsystem::submit(const std::string& script,
   return id;
 }
 
-void BatchSubsystem::compute_shadow(std::int64_t head_nodes,
-                                    sim::Time& shadow_time,
-                                    std::int64_t& extra_nodes) const {
+BatchSubsystem::Shadow BatchSubsystem::compute_shadow(
+    std::int64_t head_nodes) const {
   // Walk running jobs in order of their wallclock deadlines, accumulating
   // freed nodes until the head job fits; that instant is the shadow time.
-  std::vector<std::pair<sim::Time, std::int64_t>> releases;
-  releases.reserve(running_.size());
-  for (BatchJobId id : running_) {
-    const Job& job = *jobs_.at(id);
-    releases.emplace_back(job.limit_deadline, job.nodes_needed);
-  }
-  std::sort(releases.begin(), releases.end());
-
   std::int64_t available = free_nodes_;
-  shadow_time = engine_.now();
-  for (const auto& [at, nodes] : releases) {
+  Shadow shadow{engine_.now(), 0};
+  for (const Job* job : by_deadline_) {
     if (available >= head_nodes) break;
-    available += nodes;
-    shadow_time = at;
+    available += job->nodes_needed;
+    shadow.at = job->limit_deadline;
   }
   // Nodes the head job will not need at its (estimated) start.
-  extra_nodes = std::max<std::int64_t>(0, available - head_nodes);
+  shadow.extra_nodes = std::max<std::int64_t>(0, available - head_nodes);
+  return shadow;
 }
 
 void BatchSubsystem::schedule_pass() {
   // FCFS: start from the front while jobs fit.
-  while (!queue_.empty()) {
-    Job& head = *jobs_.at(queue_.front());
-    if (head.nodes_needed > free_nodes_) break;
+  while (!queue_.empty() && queue_.front()->nodes_needed <= free_nodes_) {
+    Job& head = *queue_.front();
     queue_.pop_front();
     start_job(head, /*backfilled=*/false);
   }
-  if (queue_.empty() || !config_.use_backfill) return;
+  if (queue_.empty()) {
+    min_queued_nodes_ = kNoQueuedDemand;
+    return;
+  }
+  if (!config_.use_backfill || free_nodes_ < min_queued_nodes_) return;
 
   // EASY backfill: jobs behind the head may start now if they do not
   // delay the head's estimated start.
-  sim::Time shadow_time = 0;
-  std::int64_t extra_nodes = 0;
-  Job& head = *jobs_.at(queue_.front());
-  compute_shadow(head.nodes_needed, shadow_time, extra_nodes);
-
+  const Job& head = *queue_.front();
+  Shadow shadow;
+  bool shadow_stale = true;  // again after every start
+  std::int64_t min_left = head.nodes_needed;
   for (auto it = std::next(queue_.begin()); it != queue_.end();) {
-    Job& candidate = *jobs_.at(*it);
-    bool fits_now = candidate.nodes_needed <= free_nodes_;
-    bool ends_before_shadow =
-        engine_.now() + sim::sec(candidate.request.wallclock_seconds) <=
-        shadow_time;
-    bool within_spare = candidate.nodes_needed <= extra_nodes;
-    if (fits_now && (ends_before_shadow || within_spare)) {
-      it = queue_.erase(it);
-      start_job(candidate, /*backfilled=*/true);
-      // Spare capacity shrinks as backfilled jobs take nodes.
-      compute_shadow(head.nodes_needed, shadow_time, extra_nodes);
-    } else {
-      ++it;
+    Job& candidate = **it;
+    if (candidate.nodes_needed <= free_nodes_) {
+      if (shadow_stale) {
+        shadow = compute_shadow(head.nodes_needed);
+        shadow_stale = false;
+      }
+      bool ends_before_shadow =
+          engine_.now() + sim::sec(candidate.request.wallclock_seconds) <=
+          shadow.at;
+      bool within_spare = candidate.nodes_needed <= shadow.extra_nodes;
+      if (ends_before_shadow || within_spare) {
+        it = queue_.erase(it);
+        start_job(candidate, /*backfilled=*/true);
+        // Spare capacity shrinks as backfilled jobs take nodes.
+        shadow_stale = true;
+        if (free_nodes_ < min_queued_nodes_) return;
+        continue;
+      }
     }
+    min_left = std::min(min_left, candidate.nodes_needed);
+    ++it;
   }
+  min_queued_nodes_ = min_left;
 }
 
 void BatchSubsystem::start_job(Job& job, bool backfilled) {
   free_nodes_ -= job.nodes_needed;
-  running_.push_back(job.id);
   job.state = BatchJobState::kRunning;
   job.backfilled = backfilled;
   if (backfilled) ++stats_.backfilled_starts;
@@ -167,9 +185,14 @@ void BatchSubsystem::start_job(Job& job, bool backfilled) {
       sim::to_seconds(job.result.started_at - job.result.submitted_at);
   stats_.total_wait_seconds += wait_seconds;
   if (queue_wait_hist_) queue_wait_hist_->observe(wait_seconds);
-  update_gauges();
   job.limit_deadline =
       engine_.now() + sim::sec(job.request.wallclock_seconds);
+  running_.push_back(&job);
+  by_deadline_.insert(
+      std::upper_bound(by_deadline_.begin(), by_deadline_.end(), &job,
+                       release_order),
+      &job);
+  update_gauges();
 
   // Missing input files fail the job immediately (the script's first
   // command would have died the same way).
@@ -180,11 +203,9 @@ void BatchSubsystem::start_job(Job& job, bool backfilled) {
   if (!missing.empty()) {
     std::string message = "missing input file(s):";
     for (const std::string& file : missing) message += " " + file;
-    BatchJobId id = job.id;
-    engine_.after(sim::msec(100), [this, id, message] {
-      if (auto it = jobs_.find(id); it != jobs_.end() &&
-                                    it->second->state == BatchJobState::kRunning)
-        finish_job(*it->second, BatchJobState::kCompleted, 127, message);
+    engine_.after(sim::msec(100), [this, &job, message] {
+      if (job.state == BatchJobState::kRunning)
+        finish_job(job, BatchJobState::kCompleted, 127, message);
     });
     return;
   }
@@ -203,23 +224,18 @@ void BatchSubsystem::start_job(Job& job, bool backfilled) {
     if (rng_.chance(failure_probability)) {
       sim::Time failure_at = static_cast<sim::Time>(
           rng_.uniform() * static_cast<double>(actual_runtime));
-      BatchJobId id = job.id;
-      job.finish_event = engine_.after(failure_at, [this, id] {
-        if (auto it = jobs_.find(id);
-            it != jobs_.end() && it->second->state == BatchJobState::kRunning)
-          finish_job(*it->second, BatchJobState::kFailed, 139,
+      job.finish_event = engine_.after(failure_at, [this, &job] {
+        if (job.state == BatchJobState::kRunning)
+          finish_job(job, BatchJobState::kFailed, 139,
                      "node failure during execution");
       });
       return;
     }
   }
 
-  BatchJobId id = job.id;
   if (actual_runtime <= sim::sec(job.request.wallclock_seconds)) {
-    job.finish_event = engine_.after(actual_runtime, [this, id] {
-      if (auto it = jobs_.find(id);
-          it != jobs_.end() && it->second->state == BatchJobState::kRunning) {
-        Job& j = *it->second;
+    job.finish_event = engine_.after(actual_runtime, [this, &j = job] {
+      if (j.state == BatchJobState::kRunning) {
         // Materialise output files; a full Uspace turns into a job error.
         std::string io_error;
         if (j.spec.workspace) {
@@ -243,11 +259,9 @@ void BatchSubsystem::start_job(Job& job, bool backfilled) {
   } else {
     // The batch system kills the job at its requested wallclock limit.
     job.limit_event = engine_.after(
-        sim::sec(job.request.wallclock_seconds), [this, id] {
-          if (auto it = jobs_.find(id);
-              it != jobs_.end() &&
-              it->second->state == BatchJobState::kRunning)
-            finish_job(*it->second, BatchJobState::kKilled, 137,
+        sim::sec(job.request.wallclock_seconds), [this, &job] {
+          if (job.state == BatchJobState::kRunning)
+            finish_job(job, BatchJobState::kKilled, 137,
                        "job killed: wallclock limit exceeded");
         });
   }
@@ -262,7 +276,11 @@ void BatchSubsystem::finish_job(Job& job, BatchJobState state,
   job.limit_event.reset();
 
   free_nodes_ += job.nodes_needed;
-  std::erase(running_, job.id);
+  std::erase(running_, &job);
+  auto [first, last] = std::equal_range(by_deadline_.begin(),
+                                        by_deadline_.end(), &job,
+                                        release_order);
+  by_deadline_.erase(std::find(first, last, &job));
 
   job.state = state;
   job.result.state = state;
@@ -335,7 +353,7 @@ Status BatchSubsystem::cancel(BatchJobId id) {
   Job& job = *it->second;
   switch (job.state) {
     case BatchJobState::kQueued: {
-      std::erase(queue_, id);
+      std::erase(queue_, &job);
       job.result.started_at = engine_.now();
       job.state = BatchJobState::kCancelled;
       job.result.state = BatchJobState::kCancelled;
@@ -349,6 +367,8 @@ Status BatchSubsystem::cancel(BatchJobId id) {
         job.on_complete = nullptr;
         handler(id, job.result);
       }
+      // Jobs the cancelled one blocked may fit now.
+      engine_.after(0, [this] { schedule_pass(); });
       return Status::ok_status();
     }
     case BatchJobState::kRunning:
@@ -378,16 +398,13 @@ Result<BatchResult> BatchSubsystem::result(BatchJobId id) const {
 
 double BatchSubsystem::backlog_node_seconds() const {
   double backlog = 0;
-  for (BatchJobId id : queue_) {
-    const Job& job = *jobs_.at(id);
-    backlog += static_cast<double>(job.nodes_needed) *
-               static_cast<double>(job.request.wallclock_seconds);
-  }
-  for (BatchJobId id : running_) {
-    const Job& job = *jobs_.at(id);
-    sim::Time remaining = job.limit_deadline - engine_.now();
+  for (const Job* job : queue_)
+    backlog += static_cast<double>(job->nodes_needed) *
+               static_cast<double>(job->request.wallclock_seconds);
+  for (const Job* job : running_) {
+    sim::Time remaining = job->limit_deadline - engine_.now();
     if (remaining > 0)
-      backlog += static_cast<double>(job.nodes_needed) *
+      backlog += static_cast<double>(job->nodes_needed) *
                  sim::to_seconds(remaining);
   }
   return backlog;
@@ -403,6 +420,7 @@ double BatchSubsystem::utilization() const {
 void BatchSubsystem::set_metrics(obs::MetricsRegistry* registry,
                                  const std::string& usite) {
   metrics_ = registry;
+  outcome_counters_.fill(nullptr);
   if (!metrics_) {
     submitted_counter_ = nullptr;
     queue_wait_hist_ = nullptr;
@@ -438,9 +456,13 @@ void BatchSubsystem::update_gauges() {
 
 void BatchSubsystem::count_outcome(BatchJobState state) {
   if (!metrics_) return;
-  obs::Labels labels = metric_labels_;
-  labels.emplace_back("outcome", batch_job_state_name(state));
-  metrics_->counter("unicore_batch_jobs_total", std::move(labels)).increment();
+  obs::Counter*& counter = outcome_counters_[static_cast<std::size_t>(state)];
+  if (counter == nullptr) {
+    obs::Labels labels = metric_labels_;
+    labels.emplace_back("outcome", batch_job_state_name(state));
+    counter = &metrics_->counter("unicore_batch_jobs_total", std::move(labels));
+  }
+  counter->increment();
 }
 
 }  // namespace unicore::batch

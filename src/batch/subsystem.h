@@ -8,8 +8,23 @@
 // identical path — the paper's site-autonomy principle ("Jobs delivered
 // through UNICORE are treated the same way any other batch job is
 // treated", §5.5).
+//
+// A scheduling pass costs what it can start, not the whole backlog. It
+// keeps two invariants:
+//  - min_queued_nodes_ never exceeds the smallest node demand in the
+//    queue (submit lowers it at once; a full backfill scan makes it
+//    exact). While free_nodes_ is below it no queued job fits, so the
+//    pass skips the backfill scan, and the scan stops as soon as a
+//    start drops free_nodes_ below it. A stale-low value costs a scan,
+//    never a start.
+//  - by_deadline_ holds the running jobs ordered by (limit_deadline,
+//    nodes_needed), the release order of the EASY shadow, so the shadow
+//    is a walk over it; the pass computes it only when a candidate fits
+//    the free nodes, and again after each start.
+// Jobs start in exactly the order a full rescan would start them.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -156,6 +171,13 @@ class BatchSubsystem {
     bool backfilled = false;
   };
 
+  /// EASY backfill bound: when could the queue head start, and how many
+  /// nodes are spare at that instant?
+  struct Shadow {
+    sim::Time at = 0;
+    std::int64_t extra_nodes = 0;
+  };
+
   util::Status validate(const BatchRequest& request) const;
   void update_gauges();
   void count_outcome(BatchJobState state);
@@ -163,10 +185,7 @@ class BatchSubsystem {
   void start_job(Job& job, bool backfilled);
   void finish_job(Job& job, BatchJobState state, std::int32_t exit_code,
                   std::string stderr_extra);
-  /// EASY backfill bound: when could the queue head start, and how many
-  /// nodes are spare at that instant?
-  void compute_shadow(std::int64_t head_nodes, sim::Time& shadow_time,
-                      std::int64_t& extra_nodes) const;
+  Shadow compute_shadow(std::int64_t head_nodes) const;
 
   sim::Engine& engine_;
   util::Rng rng_;
@@ -174,8 +193,13 @@ class BatchSubsystem {
   std::int64_t free_nodes_;
   BatchJobId next_id_ = 1;
   std::map<BatchJobId, std::unique_ptr<Job>> jobs_;
-  std::deque<BatchJobId> queue_;
-  std::vector<BatchJobId> running_;
+  std::deque<Job*> queue_;
+  /// Lower bound on the node demand of every queued job (see above).
+  std::int64_t min_queued_nodes_;
+  /// Running jobs in start order (the backlog sums in this order).
+  std::vector<Job*> running_;
+  /// The same jobs ordered by (limit_deadline, nodes_needed).
+  std::vector<Job*> by_deadline_;
   bool offline_ = false;
   SubsystemStats stats_;
 
@@ -187,6 +211,9 @@ class BatchSubsystem {
   obs::Gauge* queued_gauge_ = nullptr;
   obs::Gauge* running_gauge_ = nullptr;
   obs::Gauge* free_nodes_gauge_ = nullptr;
+  /// unicore_batch_jobs_total{outcome}, one per BatchJobState, each
+  /// registered on its first use.
+  std::array<obs::Counter*, 6> outcome_counters_{};
 };
 
 }  // namespace unicore::batch

@@ -117,6 +117,8 @@ UsiteServer::UsiteServer(sim::Engine& engine, net::Network& network,
 void UsiteServer::set_metrics(std::shared_ptr<obs::MetricsRegistry> registry) {
   if (registry == nullptr || registry == metrics_) return;
   metrics_ = std::move(registry);
+  request_counters_.fill(nullptr);
+  request_latencies_.fill(nullptr);
   njs_cluster_.set_metrics(metrics_);
   chunk_store_->set_metrics(metrics_, config_.name);
   gateway_.set_metrics(metrics_.get());
@@ -126,6 +128,26 @@ void UsiteServer::set_metrics(std::shared_ptr<obs::MetricsRegistry> registry) {
 }
 
 UsiteServer::~UsiteServer() = default;
+
+obs::Counter& UsiteServer::request_counter(RequestKind kind) {
+  obs::Counter*& counter = request_counters_[static_cast<std::uint8_t>(kind)];
+  if (counter == nullptr)
+    counter = &metrics_->counter(
+        "unicore_server_requests_total",
+        {{"kind", request_kind_name(kind)}, {"usite", config_.name}});
+  return *counter;
+}
+
+obs::Histogram& UsiteServer::request_latency(RequestKind kind) {
+  obs::Histogram*& histogram =
+      request_latencies_[static_cast<std::uint8_t>(kind)];
+  if (histogram == nullptr)
+    histogram = &metrics_->histogram(
+        "unicore_gateway_request_latency_seconds",
+        {{"kind", request_kind_name(kind)}, {"usite", config_.name}},
+        obs::latency_buckets());
+  return *histogram;
+}
 
 Status UsiteServer::start() {
   if (started_)
@@ -349,20 +371,13 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
   // (directly when combined; in handle_pipe_client_message when split),
   // so it hands the reply straight to the session.
   sim::Time received_at = engine_.now();
-  metrics_
-      ->counter("unicore_server_requests_total",
-                {{"kind", request_kind_name(kind)}, {"usite", config_.name}})
-      .increment();
+  request_counter(kind).increment();
   auto forward = [this, session, session_id, kind, received_at](Bytes packed) {
     execute_at_njs(
         session_id, std::move(packed),
         [this, session_id, kind, received_at](Bytes reply) {
-          metrics_
-              ->histogram("unicore_gateway_request_latency_seconds",
-                          {{"kind", request_kind_name(kind)},
-                           {"usite", config_.name}},
-                          obs::latency_buckets())
-              .observe(sim::to_seconds(engine_.now() - received_at));
+          request_latency(kind).observe(
+              sim::to_seconds(engine_.now() - received_at));
           deliver_to_session(session_id, std::move(reply));
         });
   };

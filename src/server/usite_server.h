@@ -13,6 +13,7 @@
 // channels to the *peer's* gateway (§4.3, §5.6).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -301,6 +302,10 @@ class UsiteServer : public njs::PeerLink {
                  util::Bytes payload, int attempt,
                  std::function<void(util::Result<util::Bytes>)> on_reply);
 
+  /// The per-kind request series, each registered on its first use.
+  obs::Counter& request_counter(RequestKind kind);
+  obs::Histogram& request_latency(RequestKind kind);
+
 
   sim::Engine& engine_;
   net::Network& network_;
@@ -321,6 +326,9 @@ class UsiteServer : public njs::PeerLink {
   njs::NjsCluster njs_cluster_;
   gateway::SessionBroker session_broker_;
   std::shared_ptr<obs::MetricsRegistry> metrics_;
+  /// Handles into metrics_, indexed by the request kind's wire byte.
+  std::array<obs::Counter*, 256> request_counters_{};
+  std::array<obs::Histogram*, 256> request_latencies_{};
   xfer::TransferManager xfer_manager_;
   /// One transfer receiver per NJS replica, ids strided to its
   /// partition so chunks and closes route back to their minter.

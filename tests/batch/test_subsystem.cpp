@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "batch/target_system.h"
+#include "obs/metrics.h"
 
 namespace unicore::batch {
 namespace {
@@ -148,6 +149,64 @@ TEST_F(SubsystemFixture, BackfillNeverDelaysQueueHead) {
   EXPECT_EQ(batch.stats().backfilled_starts, 0u);
 }
 
+TEST_F(SubsystemFixture, SmallJobBackfillsAtItsSubmitInstant) {
+  BatchSubsystem batch(engine, util::Rng(1), small_system(true));
+  // Job1 leaves 2 nodes free; the 8-node head blocks behind it, so the
+  // smallest queued demand is 8 when the 1-node job arrives at t=10.
+  (void)batch.submit(script(6, 1'000), "u", spec(500), nullptr);
+  (void)batch.submit(script(8, 1'000), "u", spec(10), nullptr);
+  engine.run_until(sim::sec(5));
+  ASSERT_EQ(batch.free_nodes(), 2);
+  ASSERT_EQ(batch.queued_jobs(), 1u);
+  BatchResult small;
+  engine.at(sim::sec(10), [&] {
+    (void)batch.submit(script(1, 50), "u", spec(20),
+                       [&](BatchJobId, const BatchResult& r) { small = r; });
+  });
+  engine.run();
+  EXPECT_EQ(small.started_at, sim::sec(10));
+  EXPECT_EQ(batch.stats().backfilled_starts, 1u);
+}
+
+TEST_F(SubsystemFixture, PassBelowEveryQueuedDemandStartsNothing) {
+  BatchSubsystem batch(engine, util::Rng(1), small_system(true));
+  // 3 nodes stay free while the queue holds 8- and 4-node jobs.
+  (void)batch.submit(script(5, 1'000), "u", spec(100), nullptr);
+  (void)batch.submit(script(8, 1'000), "u", spec(10), nullptr);
+  auto four = batch.submit(script(4, 20), "u", spec(10), nullptr);
+  engine.run_until(sim::sec(5));
+  // A later submission triggers another pass with 0 < free < demand.
+  auto another = batch.submit(script(4, 20), "u", spec(10), nullptr);
+  engine.run_until(sim::sec(50));
+  EXPECT_EQ(batch.free_nodes(), 3);
+  EXPECT_EQ(batch.queued_jobs(), 3u);
+  EXPECT_EQ(batch.state(four.value()).value(), BatchJobState::kQueued);
+  EXPECT_EQ(batch.state(another.value()).value(), BatchJobState::kQueued);
+  EXPECT_EQ(batch.stats().backfilled_starts, 0u);
+  engine.run();
+  EXPECT_EQ(batch.result(four.value()).value().started_at, sim::sec(110));
+}
+
+TEST_F(SubsystemFixture, ShadowTiesAtOneDeadlineReleaseSmallestFirst) {
+  BatchSubsystem batch(engine, util::Rng(1), small_system(true));
+  // Two running jobs share the deadline t=100: 5 nodes (started first)
+  // and 2 nodes. One node is free; the head needs 3. Releasing the
+  // 2-node job first meets the head exactly, so no node is spare at the
+  // shadow and a 1-node job outliving it must not backfill. (Releasing
+  // the 5-node job first would leave 3 spare and let it through.)
+  (void)batch.submit(script(5, 100), "u", spec(90), nullptr);
+  (void)batch.submit(script(2, 100), "u", spec(90), nullptr);
+  BatchResult head, tail;
+  (void)batch.submit(script(3, 1'000), "u", spec(10),
+                     [&](BatchJobId, const BatchResult& r) { head = r; });
+  (void)batch.submit(script(1, 500), "u", spec(10),
+                     [&](BatchJobId, const BatchResult& r) { tail = r; });
+  engine.run();
+  EXPECT_EQ(batch.stats().backfilled_starts, 0u);
+  EXPECT_EQ(head.started_at, sim::sec(90));
+  EXPECT_EQ(tail.started_at, sim::sec(90));
+}
+
 TEST_F(SubsystemFixture, WallclockLimitKillsJob) {
   BatchSubsystem batch(engine, util::Rng(1), small_system());
   BatchResult result;
@@ -222,6 +281,24 @@ TEST_F(SubsystemFixture, CancelQueuedJob) {
   EXPECT_EQ(batch.stats().jobs_cancelled, 1u);
 }
 
+TEST_F(SubsystemFixture, CancellingQueuedHeadStartsJobsBehindIt) {
+  SystemConfig config = small_system(false);
+  config.nodes = 16;
+  config.queues = {{"default", 16, 86'400, 16 * 1'024}};
+  BatchSubsystem batch(engine, util::Rng(1), config);
+  // 8 of 16 nodes busy; the 16-node head blocks a 4-node job (FCFS).
+  (void)batch.submit(script(8, 1'000), "u", spec(500), nullptr);
+  auto head = batch.submit(script(16, 1'000), "u", spec(10), nullptr);
+  BatchResult behind;
+  (void)batch.submit(script(4, 100), "u", spec(10),
+                     [&](BatchJobId, const BatchResult& r) { behind = r; });
+  engine.run_until(sim::sec(20));
+  ASSERT_EQ(batch.queued_jobs(), 2u);
+  ASSERT_TRUE(batch.cancel(head.value()).ok());
+  engine.run();
+  EXPECT_EQ(behind.started_at, sim::sec(20));
+}
+
 TEST_F(SubsystemFixture, CancelRunningJobFreesNodes) {
   BatchSubsystem batch(engine, util::Rng(1), small_system());
   auto id = batch.submit(script(8, 1'000), "u", spec(900), nullptr);
@@ -281,6 +358,39 @@ TEST_F(SubsystemFixture, PerformanceScalesRuntime) {
   engine.run();
   // 10 nominal seconds on a 2-GFLOPS processor -> 5 s wallclock.
   EXPECT_EQ(result.finished_at - result.started_at, sim::sec(5));
+}
+
+TEST_F(SubsystemFixture, OutcomeCountersFollowTheRegistry) {
+  BatchSubsystem batch(engine, util::Rng(1), small_system());
+  auto outcomes = [](const obs::MetricsRegistry& registry,
+                     const char* outcome) -> double {
+    obs::MetricsSnapshot snapshot = registry.snapshot();
+    const obs::MetricPoint* point = snapshot.find(
+        "unicore_batch_jobs_total",
+        {{"usite", "site"}, {"vsite", "test"}, {"outcome", outcome}});
+    return point == nullptr ? -1.0 : point->value;
+  };
+  obs::MetricsRegistry first, second;
+  batch.set_metrics(&first, "site");
+  (void)batch.submit(script(1, 100), "u", spec(5), nullptr);
+  engine.run();
+  EXPECT_EQ(outcomes(first, "COMPLETED"), 1.0);
+  // Only outcomes that happened have a series.
+  EXPECT_EQ(first.snapshot().total("unicore_batch_jobs_total"), 1.0);
+  EXPECT_EQ(outcomes(first, "KILLED"), -1.0);
+
+  batch.set_metrics(nullptr, "site");
+  (void)batch.submit(script(1, 100), "u", spec(5), nullptr);
+  engine.run();
+  EXPECT_EQ(outcomes(first, "COMPLETED"), 1.0);
+
+  batch.set_metrics(&second, "site");
+  (void)batch.submit(script(1, 100), "u", spec(5), nullptr);
+  (void)batch.submit(script(1, 10), "u", spec(50), nullptr);  // overruns
+  engine.run();
+  EXPECT_EQ(outcomes(first, "COMPLETED"), 1.0);
+  EXPECT_EQ(outcomes(second, "COMPLETED"), 1.0);
+  EXPECT_EQ(outcomes(second, "KILLED"), 1.0);
 }
 
 TEST_F(SubsystemFixture, VendorConfigsHaveConsistentQueues) {

@@ -126,6 +126,44 @@ TEST_F(MonitorSingleSite, SnapshotCoversEveryLayer) {
   EXPECT_GT(s.total("unicore_channel_handshakes_total"), 0.0);
 }
 
+TEST_F(MonitorSingleSite, RequestSeriesFollowTheRegistry) {
+  const obs::Labels consign = {{"kind", "consign"}, {"usite", site.kUsite}};
+  const obs::Labels trace = {{"kind", "monitor-trace"},
+                             {"usite", site.kUsite}};
+  std::shared_ptr<obs::MetricsRegistry> first = site.server->metrics();
+  run_job_to_completion();
+  obs::MetricsSnapshot before = first->snapshot();
+  const obs::MetricPoint* counted =
+      before.find("unicore_server_requests_total", consign);
+  ASSERT_NE(counted, nullptr);
+  EXPECT_DOUBLE_EQ(counted->value, 1.0);
+  // A kind no request used yet has no series, not a zero one.
+  EXPECT_EQ(before.find("unicore_server_requests_total", trace), nullptr);
+  EXPECT_EQ(before.find("unicore_gateway_request_latency_seconds", trace),
+            nullptr);
+
+  // After a swap the cached series belong to the old registry: the next
+  // requests count in the new one only.
+  auto second = std::make_shared<obs::MetricsRegistry>();
+  site.server->set_metrics(second);
+  run_job_to_completion();
+  obs::MetricsSnapshot old_after = first->snapshot();
+  EXPECT_DOUBLE_EQ(
+      old_after.find("unicore_server_requests_total", consign)->value, 1.0);
+  EXPECT_EQ(
+      old_after.find("unicore_gateway_request_latency_seconds", consign)
+          ->count,
+      1u);
+  obs::MetricsSnapshot now = second->snapshot();
+  counted = now.find("unicore_server_requests_total", consign);
+  ASSERT_NE(counted, nullptr);
+  EXPECT_DOUBLE_EQ(counted->value, 1.0);
+  const obs::MetricPoint* latency =
+      now.find("unicore_gateway_request_latency_seconds", consign);
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, 1u);
+}
+
 TEST_F(MonitorSingleSite, TraceTimelineCoversJobLifecycle) {
   ajo::JobToken token = run_job_to_completion();
   auto trace = fetch_trace(token);
