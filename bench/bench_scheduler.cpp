@@ -13,13 +13,14 @@ namespace {
 
 using namespace unicore;
 
+// Every iteration would simulate the identical workload, so each point
+// runs exactly once: the counters are that run's values, comparable
+// across builds to the last digit (no averaging over an iteration
+// count Google Benchmark picks).
 void BM_ScheduleWorkload(benchmark::State& state) {
   bool backfill = state.range(0) != 0;
   int jobs = static_cast<int>(state.range(1));
 
-  double wait_total = 0, makespan_total = 0, util_total = 0,
-         backfilled_total = 0;
-  int runs = 0;
   for (auto _ : state) {
     sim::Engine engine;
     batch::SystemConfig config;
@@ -30,7 +31,7 @@ void BM_ScheduleWorkload(benchmark::State& state) {
     config.gflops_per_processor = 1.0;
     config.queues = {{"default", 64, 86'400, 1 << 20}};
     config.use_backfill = backfill;
-    batch::BatchSubsystem batch(engine, util::Rng(runs + 1), config);
+    batch::BatchSubsystem batch(engine, util::Rng(1), config);
 
     util::Rng workload(999);
     int remaining = jobs;
@@ -61,21 +62,18 @@ void BM_ScheduleWorkload(benchmark::State& state) {
     if (remaining != 0) state.SkipWithError("jobs did not drain");
 
     const batch::SubsystemStats& stats = batch.stats();
-    wait_total += stats.total_wait_seconds / jobs;
-    makespan_total += sim::to_seconds(engine.now());
-    util_total += batch.utilization();
-    backfilled_total += static_cast<double>(stats.backfilled_starts);
-    ++runs;
+    state.counters["mean_wait_s"] = stats.total_wait_seconds / jobs;
+    state.counters["makespan_s"] = sim::to_seconds(engine.now());
+    state.counters["utilization"] = batch.utilization();
+    state.counters["backfilled"] =
+        static_cast<double>(stats.backfilled_starts);
   }
-  state.counters["mean_wait_s"] = wait_total / runs;
-  state.counters["makespan_s"] = makespan_total / runs;
-  state.counters["utilization"] = util_total / runs;
-  state.counters["backfilled"] = backfilled_total / runs;
   state.SetLabel(backfill ? "EASY backfill" : "pure FCFS");
 }
 BENCHMARK(BM_ScheduleWorkload)
     ->ArgsProduct({{0, 1}, {100, 400, 1600}})
     ->ArgNames({"backfill", "jobs"})
+    ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "crypto/cipher.h"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "crypto/hmac.h"
@@ -26,6 +28,27 @@ void ctr_crypt_generic(const SymmetricKey& key, std::uint64_t nonce,
   }
 }
 
+void store_be64(std::uint8_t* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    out[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+}
+
+/// data[0, n) ^= stream[0, n): 16 bytes per step through two 64-bit
+/// words (memcpy keeps unaligned record slices well-defined), then a
+/// byte tail.
+void xor_into(std::uint8_t* data, const std::uint8_t* stream, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    std::uint64_t d[2], k[2];
+    std::memcpy(d, data + i, 16);
+    std::memcpy(k, stream + i, 16);
+    d[0] ^= k[0];
+    d[1] ^= k[1];
+    std::memcpy(data + i, d, 16);
+  }
+  for (; i < n; ++i) data[i] ^= stream[i];
+}
+
 std::size_t put_varint(std::uint8_t* out, std::uint64_t v) {
   std::size_t n = 0;
   while (v >= 0x80) {
@@ -43,8 +66,7 @@ Digest record_tag(const SymmetricKey& mac_key, std::uint64_t nonce,
                   util::ByteView ciphertext, util::ByteView aad) {
   HmacSha256 mac(mac_key.material);
   std::uint8_t header[18];  // 8-byte nonce + worst-case varint
-  for (int i = 0; i < 8; ++i)
-    header[i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
+  store_be64(header, nonce);
   std::size_t n = 8 + put_varint(header + 8, ciphertext.size());
   mac.update(util::ByteView(header, n));
   mac.update(ciphertext);
@@ -60,29 +82,29 @@ void ctr_crypt_inplace(const SymmetricKey& key, std::uint64_t nonce,
                        std::uint8_t* data, std::size_t size) {
   if (key.material.size() != 32)
     return ctr_crypt_generic(key, nonce, data, size);
-  // One pre-padded compression block: key(32) || nonce(8) || counter(8)
-  // || 0x80 || zeros || 384 as the 64-bit bit length. Identical bytes to
-  // what Sha256 would feed its compression for the 48-byte message, so
-  // the keystream matches the generic path exactly.
-  std::uint8_t block[64];
-  std::memcpy(block, key.material.data(), 32);
-  for (int i = 0; i < 8; ++i)
-    block[32 + i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
-  std::memset(block + 40, 0, 24);
-  block[48] = 0x80;
-  block[62] = 0x01;  // 48 * 8 = 384 = 0x0180 bits
-  block[63] = 0x80;
+  // One pre-padded compression block per lane: key(32) || nonce(8) ||
+  // counter(8) || 0x80 || zeros || 384 as the 64-bit bit length.
+  // Identical bytes to what Sha256 would feed its compression for the
+  // 48-byte message, so the keystream matches the generic path exactly.
+  std::array<std::uint8_t, kSha256Lanes * 64> blocks{};
+  std::memcpy(blocks.data(), key.material.data(), 32);
+  store_be64(blocks.data() + 32, nonce);
+  blocks[48] = 0x80;
+  blocks[62] = 0x01;  // 48 * 8 = 384 = 0x0180 bits
+  blocks[63] = 0x80;
+  for (std::size_t l = 1; l < kSha256Lanes; ++l)
+    std::memcpy(blocks.data() + 64 * l, blocks.data(), 64);
 
+  // Each step hashes counters [counter, counter + kSha256Lanes) in one
+  // call and XORs their 32-byte outputs over the next stretch of data.
+  constexpr std::size_t kStep = kSha256Lanes * 32;
+  std::array<std::uint8_t, kStep> stream;
   std::uint64_t counter = 0;
-  std::size_t pos = 0;
-  while (pos < size) {
-    for (int i = 0; i < 8; ++i)
-      block[40 + i] = static_cast<std::uint8_t>(counter >> (56 - 8 * i));
-    ++counter;
-    Digest stream = sha256_single_block(block);
-    std::size_t take = std::min<std::size_t>(stream.size(), size - pos);
-    for (std::size_t i = 0; i < take; ++i) data[pos + i] ^= stream[i];
-    pos += take;
+  for (std::size_t pos = 0; pos < size; pos += kStep) {
+    for (std::size_t l = 0; l < kSha256Lanes; ++l)
+      store_be64(blocks.data() + 64 * l + 40, counter++);
+    sha256_single_blocks(blocks, stream);
+    xor_into(data + pos, stream.data(), std::min(kStep, size - pos));
   }
 }
 

@@ -26,8 +26,10 @@ util::Bytes ctr_crypt(const SymmetricKey& key, std::uint64_t nonce,
 
 /// In-place variant — the record-layer hot path. For the standard
 /// 32-byte keys each keystream block is one pre-padded SHA-256
-/// compression with only the counter bytes patched per block: no
-/// allocation and no per-block input assembly.
+/// compression with only the counter bytes patched, and
+/// crypto::kSha256Lanes consecutive counter blocks are hashed side by
+/// side in one sha256_single_blocks() call: no allocation and no
+/// per-block input assembly.
 void ctr_crypt_inplace(const SymmetricKey& key, std::uint64_t nonce,
                        std::uint8_t* data, std::size_t size);
 

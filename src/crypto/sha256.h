@@ -6,7 +6,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "util/bytes.h"
 
@@ -41,21 +43,33 @@ class Sha256 {
 Digest sha256(util::ByteView data);
 Digest sha256(std::string_view s);
 
-/// Digest of a message that is exactly one pre-padded compression block:
-/// `block` must already carry the 0x80 terminator and the 64-bit length
-/// in its last 8 bytes. One compression call, no buffering — the CTR
-/// keystream kernel patches a counter into a fixed 64-byte template and
-/// calls this per block instead of re-running the incremental context.
-Digest sha256_single_block(const std::uint8_t block[64]);
+/// Number of independent blocks sha256_single_blocks() hashes per call.
+/// Two SHA-NI lanes hide most of the sha256rnds2 latency of one; with
+/// three or four the lanes' message schedules spill out of the 16 XMM
+/// registers, and they measured no faster on bulk keystream and slower
+/// on short records (EXPERIMENTS.md, "Substrate microbenchmarks").
+inline constexpr std::size_t kSha256Lanes = 2;
+
+/// Digests of kSha256Lanes independent messages, each exactly one
+/// pre-padded compression block: every 64-byte block in `blocks` must
+/// already carry the 0x80 terminator and the 64-bit length in its last
+/// 8 bytes. Digest i goes to bytes [32i, 32i + 32) of `digests`. The
+/// hardware path runs the lanes' compressions interleaved in one pass;
+/// the CTR keystream kernel patches counters into copies of a fixed
+/// template block and calls this once per kSha256Lanes keystream blocks.
+void sha256_single_blocks(
+    std::span<const std::uint8_t, kSha256Lanes * 64> blocks,
+    std::span<std::uint8_t, kSha256Lanes * 32> digests);
 
 /// True when the process selected a hardware (SHA-NI) compression path at
 /// startup. Both paths produce bit-identical digests; this only reports
 /// which one is active (benchmarks record it in their context).
 bool sha256_hardware_accelerated();
 
-/// Forces the portable compression path (false) or re-runs hardware
-/// detection (true). Exists so tests can cross-check both backends on the
-/// same machine; not thread-safe against concurrent hashing.
+/// Forces the portable compression paths (false) or re-runs hardware
+/// detection (true), for sha256_single_blocks() as for the rest. Exists
+/// so tests can cross-check both backends on the same machine; not
+/// thread-safe against concurrent hashing.
 void set_sha256_acceleration(bool enabled);
 
 /// Digest as a Bytes value (for wire formats).

@@ -34,7 +34,32 @@ void ChunkStore::set_metrics(std::shared_ptr<obs::MetricsRegistry> registry,
                              std::string site) {
   metrics_ = std::move(registry);
   site_ = std::move(site);
+  dedup_hits_counter_ = dedup_bytes_saved_counter_ = reclaimed_counter_ =
+      faults_counter_ = spills_counter_ = nullptr;
+  if (metrics_ == nullptr) {
+    chunks_gauge_ = physical_bytes_gauge_ = resident_bytes_gauge_ =
+        spilled_bytes_gauge_ = logical_bytes_gauge_ = total_refs_gauge_ =
+            nullptr;
+    return;
+  }
+  obs::Labels labels{{"site", site_}};
+  chunks_gauge_ = &metrics_->gauge("unicore_store_chunks", labels);
+  physical_bytes_gauge_ =
+      &metrics_->gauge("unicore_store_physical_bytes", labels);
+  resident_bytes_gauge_ =
+      &metrics_->gauge("unicore_store_resident_bytes", labels);
+  spilled_bytes_gauge_ =
+      &metrics_->gauge("unicore_store_spilled_bytes", labels);
+  logical_bytes_gauge_ =
+      &metrics_->gauge("unicore_store_logical_bytes", labels);
+  total_refs_gauge_ = &metrics_->gauge("unicore_store_total_refs", labels);
   refresh_gauges();
+}
+
+obs::Counter& ChunkStore::site_counter(obs::Counter*& slot,
+                                       std::string_view name) {
+  if (slot == nullptr) slot = &metrics_->counter(name, {{"site", site_}});
+  return *slot;
 }
 
 std::uint64_t ChunkStore::refcount(const crypto::Digest& digest) const {
@@ -46,9 +71,10 @@ void ChunkStore::count_dedup(const ChunkRec& rec) {
   ++stats_.dedup_hits;
   stats_.dedup_bytes_saved += rec.length;
   if (metrics_ != nullptr) {
-    obs::Labels labels{{"site", site_}};
-    metrics_->counter("unicore_store_dedup_hits_total", labels).increment();
-    metrics_->counter("unicore_store_dedup_bytes_saved_total", labels)
+    site_counter(dedup_hits_counter_, "unicore_store_dedup_hits_total")
+        .increment();
+    site_counter(dedup_bytes_saved_counter_,
+                 "unicore_store_dedup_bytes_saved_total")
         .add(static_cast<double>(rec.length));
   }
 }
@@ -156,8 +182,7 @@ void ChunkStore::release(const crypto::Digest& digest) {
   --stats_.chunks;
   chunks_.erase(it);
   if (metrics_ != nullptr)
-    metrics_
-        ->counter("unicore_store_reclaimed_chunks_total", {{"site", site_}})
+    site_counter(reclaimed_counter_, "unicore_store_reclaimed_chunks_total")
         .increment();
   refresh_gauges();
 }
@@ -186,8 +211,7 @@ Result<util::Bytes> ChunkStore::read(const crypto::Digest& digest) {
     stats_.resident_bytes += rec.length;
     ++stats_.faults;
     if (metrics_ != nullptr)
-      metrics_->counter("unicore_store_faults_total", {{"site", site_}})
-          .increment();
+      site_counter(faults_counter_, "unicore_store_faults_total").increment();
     maybe_evict();
     refresh_gauges();
     return rec.data;
@@ -233,26 +257,18 @@ void ChunkStore::maybe_evict() {
     stats_.spilled_bytes += rec.length;
     ++stats_.spills;
     if (metrics_ != nullptr)
-      metrics_->counter("unicore_store_spills_total", {{"site", site_}})
-          .increment();
+      site_counter(spills_counter_, "unicore_store_spills_total").increment();
   }
 }
 
 void ChunkStore::refresh_gauges() {
   if (metrics_ == nullptr) return;
-  obs::Labels labels{{"site", site_}};
-  metrics_->gauge("unicore_store_chunks", labels)
-      .set(static_cast<double>(stats_.chunks));
-  metrics_->gauge("unicore_store_physical_bytes", labels)
-      .set(static_cast<double>(stats_.physical_bytes));
-  metrics_->gauge("unicore_store_resident_bytes", labels)
-      .set(static_cast<double>(stats_.resident_bytes));
-  metrics_->gauge("unicore_store_spilled_bytes", labels)
-      .set(static_cast<double>(stats_.spilled_bytes));
-  metrics_->gauge("unicore_store_logical_bytes", labels)
-      .set(static_cast<double>(stats_.logical_bytes));
-  metrics_->gauge("unicore_store_total_refs", labels)
-      .set(static_cast<double>(stats_.total_refs));
+  chunks_gauge_->set(static_cast<double>(stats_.chunks));
+  physical_bytes_gauge_->set(static_cast<double>(stats_.physical_bytes));
+  resident_bytes_gauge_->set(static_cast<double>(stats_.resident_bytes));
+  spilled_bytes_gauge_->set(static_cast<double>(stats_.spilled_bytes));
+  logical_bytes_gauge_->set(static_cast<double>(stats_.logical_bytes));
+  total_refs_gauge_->set(static_cast<double>(stats_.total_refs));
 }
 
 // ---- PinnedBlob ------------------------------------------------------------

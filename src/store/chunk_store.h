@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/chunk_digest.h"
@@ -184,6 +185,9 @@ class ChunkStore {
   void maybe_evict();
   void count_dedup(const ChunkRec& rec);
   void refresh_gauges();
+  /// The site's counter `name`, registered on its first use and held
+  /// in `slot` from then on.
+  obs::Counter& site_counter(obs::Counter*& slot, std::string_view name);
 
   Config config_;
   std::shared_ptr<SpillBackend> spill_;
@@ -194,6 +198,20 @@ class ChunkStore {
 
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   std::string site_;
+  // Series handles (labels: site). set_metrics registers the gauges;
+  // each counter is registered on its first event, so a site that never
+  // spills or faults exposes no such series.
+  obs::Gauge* chunks_gauge_ = nullptr;
+  obs::Gauge* physical_bytes_gauge_ = nullptr;
+  obs::Gauge* resident_bytes_gauge_ = nullptr;
+  obs::Gauge* spilled_bytes_gauge_ = nullptr;
+  obs::Gauge* logical_bytes_gauge_ = nullptr;
+  obs::Gauge* total_refs_gauge_ = nullptr;
+  obs::Counter* dedup_hits_counter_ = nullptr;
+  obs::Counter* dedup_bytes_saved_counter_ = nullptr;
+  obs::Counter* reclaimed_counter_ = nullptr;
+  obs::Counter* faults_counter_ = nullptr;
+  obs::Counter* spills_counter_ = nullptr;
 };
 
 /// RAII pin over one manifest's chunks: holds one reference per entry

@@ -333,5 +333,48 @@ TEST(ChunkStore, MetricsMirrorOccupancy) {
   EXPECT_EQ(snapshot.find("unicore_store_total_refs", labels)->value, 2);
 }
 
+TEST(ChunkStore, EventCountersAppearOnFirstUseAndFollowTheRegistry) {
+  auto first = std::make_shared<obs::MetricsRegistry>();
+  auto store = std::make_shared<ChunkStore>(
+      ChunkStore::Config{.resident_budget_bytes = 100});
+  store->set_spill_backend(std::make_shared<MemorySpillBackend>());
+  store->set_metrics(first, "LRZ");
+  obs::Labels labels{{"site", "LRZ"}};
+  auto value = [&](const obs::MetricsRegistry& registry,
+                   std::string_view name) -> double {
+    obs::MetricsSnapshot snapshot = registry.snapshot();
+    const obs::MetricPoint* point = snapshot.find(name, labels);
+    return point == nullptr ? -1 : point->value;
+  };
+  EXPECT_EQ(value(*first, "unicore_store_chunks"), 0);
+  for (const char* name :
+       {"unicore_store_dedup_hits_total", "unicore_store_spills_total",
+        "unicore_store_faults_total", "unicore_store_reclaimed_chunks_total"})
+    EXPECT_EQ(value(*first, name), -1) << name << " registered before use";
+
+  util::Bytes a = pattern_bytes(80, 1), b = pattern_bytes(80, 2);
+  crypto::Digest da = crypto::chunk_content_digest(a);
+  crypto::Digest db = crypto::chunk_content_digest(b);
+  ASSERT_TRUE(store->add_chunk(da, a).ok());
+  ASSERT_TRUE(store->add_chunk(db, b).ok());  // over budget: a spills
+  EXPECT_EQ(value(*first, "unicore_store_spills_total"), 1);
+  EXPECT_EQ(value(*first, "unicore_store_faults_total"), -1);
+
+  // Re-pointed at a second registry, every series lands there and the
+  // first keeps its last values.
+  auto second = std::make_shared<obs::MetricsRegistry>();
+  store->set_metrics(second, "LRZ");
+  EXPECT_EQ(value(*second, "unicore_store_chunks"), 2);
+  ASSERT_TRUE(store->read(da).ok());  // faults a back in, spills b
+  store->release(db);
+  EXPECT_EQ(value(*second, "unicore_store_faults_total"), 1);
+  EXPECT_EQ(value(*second, "unicore_store_spills_total"), 1);
+  EXPECT_EQ(value(*second, "unicore_store_reclaimed_chunks_total"), 1);
+  EXPECT_EQ(value(*second, "unicore_store_chunks"), 1);
+  EXPECT_EQ(value(*first, "unicore_store_spills_total"), 1);
+  EXPECT_EQ(value(*first, "unicore_store_faults_total"), -1);
+  EXPECT_EQ(value(*first, "unicore_store_chunks"), 2);
+}
+
 }  // namespace
 }  // namespace unicore::store
