@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds and tests the plain (RelWithDebInfo), sanitized (ASan+UBSan
-# Debug, any UBSan report fatal) and ThreadSanitizer (Debug; the net and
-# util suites, where the record pool, ThreadPool and SpscRing run real
-# threads) configurations via the CMake presets.
+# Debug, any UBSan report fatal) and ThreadSanitizer (Debug; the net,
+# util and crypto suites, where the record pool, ThreadPool and SpscRing
+# run real threads and pool workers share one record key) configurations
+# via the CMake presets.
 #
 #   scripts/check.sh            all three configurations
 #   scripts/check.sh plain      just the regular build

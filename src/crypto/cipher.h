@@ -1,35 +1,48 @@
 // Symmetric record protection for the SecureChannel.
 //
-// The keystream is SHA-256 in counter mode over (key || nonce || counter)
-// — a standard hash-CTR construction. seal()/open() provide
-// encrypt-then-MAC authenticated encryption: ciphertext is XOR with the
-// keystream, the tag is HMAC-SHA256 over (nonce || ciphertext || aad).
+// Records are encrypted with AES-256 in counter mode (crypto/aes.h) and
+// authenticated encrypt-then-MAC: the tag is HMAC-SHA256 over
+// (nonce || ciphertext || aad). Each SymmetricKey carries its AES round
+// keys and HMAC pad states, computed once when the key is made, so a
+// record pays for neither.
 #pragma once
 
 #include <cstdint>
 
+#include "crypto/aes.h"
+#include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "util/bytes.h"
 #include "util/result.h"
 
 namespace unicore::crypto {
 
-/// Symmetric key (32 bytes of HKDF output).
-struct SymmetricKey {
-  util::Bytes material;  // 32 bytes
+/// Symmetric key (32 bytes of HKDF output) with its per-key state: the
+/// expanded AES-256 key for use as a cipher key and the HMAC key for use
+/// as a MAC key. Immutable after construction, so the record pool's
+/// workers share one const key without synchronisation.
+class SymmetricKey {
+ public:
+  /// Placeholder; a channel assigns derived keys before its first record.
+  SymmetricKey() = default;
+  /// Throws std::invalid_argument unless `material` is 32 bytes.
+  explicit SymmetricKey(util::ByteView material);
+
+  const Aes256Key& cipher() const { return cipher_; }
+  const HmacKey& mac() const { return mac_; }
+
+ private:
+  Aes256Key cipher_;
+  HmacKey mac_;
 };
 
-/// XORs `data` with the hash-CTR keystream for (key, nonce). Applying it
-/// twice with the same parameters restores the plaintext.
+/// XORs `data` with the AES-256-CTR keystream for (key, nonce). Applying
+/// it twice with the same parameters restores the plaintext.
 util::Bytes ctr_crypt(const SymmetricKey& key, std::uint64_t nonce,
                       util::ByteView data);
 
-/// In-place variant — the record-layer hot path. For the standard
-/// 32-byte keys each keystream block is one pre-padded SHA-256
-/// compression with only the counter bytes patched, and
-/// crypto::kSha256Lanes consecutive counter blocks are hashed side by
-/// side in one sha256_single_blocks() call: no allocation and no
-/// per-block input assembly.
+/// In-place variant — the record-layer hot path: no allocation, the
+/// keystream is XORed straight over `data`.
 void ctr_crypt_inplace(const SymmetricKey& key, std::uint64_t nonce,
                        std::uint8_t* data, std::size_t size);
 

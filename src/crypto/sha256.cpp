@@ -1,7 +1,9 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
-#include <utility>
+
+#include "crypto/aes.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define UNICORE_SHA256_X86 1
@@ -236,83 +238,6 @@ __attribute__((target("sha,sse4.1,ssse3"))) void compress_shani(
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
 }
 
-// Rounds 4Q..4Q+3 of the SHA-NI compression, for every lane. The same
-// instruction sequence as compress_shani, with the lanes' sha256rnds2 /
-// msg1 / msg2 chains issued side by side: each lane's chain is
-// latency-bound, the lanes are independent, so they overlap in the core.
-template <int Q>
-__attribute__((target("sha,sse4.1,ssse3"), always_inline)) inline void
-quad_round_lanes(__m128i (&abef)[kSha256Lanes], __m128i (&cdgh)[kSha256Lanes],
-                 __m128i (&msg)[kSha256Lanes][4], const std::uint8_t* blocks) {
-  const __m128i k =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRound[4 * Q]));
-  // Fully unrolled, so every lane's state stays in XMM registers.
-#pragma GCC unroll 8
-  for (std::size_t l = 0; l < kSha256Lanes; ++l) {
-    if constexpr (Q < 4) {
-      const __m128i kByteSwap =
-          _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
-      msg[l][Q] = _mm_shuffle_epi8(
-          _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(blocks + 64 * l + 16 * Q)),
-          kByteSwap);
-    }
-    const __m128i wk = _mm_add_epi32(msg[l][Q % 4], k);
-    cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk);
-    if constexpr (Q >= 3 && Q <= 14) {  // schedule words for quad Q + 1
-      __m128i& next = msg[l][(Q + 1) % 4];
-      next = _mm_add_epi32(
-          next, _mm_alignr_epi8(msg[l][Q % 4], msg[l][(Q + 3) % 4], 4));
-      next = _mm_sha256msg2_epu32(next, msg[l][Q % 4]);
-    }
-    abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l],
-                                    _mm_shuffle_epi32(wk, 0x0E));
-    if constexpr (Q >= 1 && Q <= 12) {
-      __m128i& prev = msg[l][(Q + 3) % 4];
-      prev = _mm_sha256msg1_epu32(prev, msg[l][Q % 4]);
-    }
-  }
-}
-
-template <std::size_t... Q>
-__attribute__((target("sha,sse4.1,ssse3"), always_inline)) inline void
-rounds_lanes(__m128i (&abef)[kSha256Lanes], __m128i (&cdgh)[kSha256Lanes],
-             __m128i (&msg)[kSha256Lanes][4], const std::uint8_t* blocks,
-             std::index_sequence<Q...>) {
-  (quad_round_lanes<static_cast<int>(Q)>(abef, cdgh, msg, blocks), ...);
-}
-
-// kSha256Lanes one-block messages from the initial state, digests
-// written big-endian. No state crosses calls: pool threads may run it
-// concurrently.
-__attribute__((target("sha,sse4.1,ssse3"))) void single_blocks_shani(
-    const std::uint8_t* blocks, std::uint8_t* digests) {
-  // kInitialState in the ABEF / CDGH register layout of sha256rnds2.
-  const __m128i abef0 =
-      _mm_set_epi32(0x6a09e667, static_cast<int>(0xbb67ae85), 0x510e527f,
-                    static_cast<int>(0x9b05688c));
-  const __m128i cdgh0 =
-      _mm_set_epi32(0x3c6ef372, static_cast<int>(0xa54ff53a), 0x1f83d9ab,
-                    0x5be0cd19);
-  __m128i abef[kSha256Lanes], cdgh[kSha256Lanes], msg[kSha256Lanes][4] = {};
-  for (std::size_t l = 0; l < kSha256Lanes; ++l) {
-    abef[l] = abef0;
-    cdgh[l] = cdgh0;
-  }
-  rounds_lanes(abef, cdgh, msg, blocks, std::make_index_sequence<16>{});
-  // Reversing all 16 bytes of (C D | A B) gives A..D big-endian in
-  // order, and of (G H | E F) gives E..H.
-  const __m128i kReverse =
-      _mm_set_epi64x(0x0001020304050607ULL, 0x08090a0b0c0d0e0fULL);
-  for (std::size_t l = 0; l < kSha256Lanes; ++l) {
-    const __m128i a = _mm_add_epi32(abef[l], abef0);
-    const __m128i c = _mm_add_epi32(cdgh[l], cdgh0);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(digests + 32 * l),
-                     _mm_shuffle_epi8(_mm_unpackhi_epi64(c, a), kReverse));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(digests + 32 * l + 16),
-                     _mm_shuffle_epi8(_mm_unpacklo_epi64(c, a), kReverse));
-  }
-}
 #endif  // UNICORE_SHA256_X86
 
 void store_digest(const std::array<std::uint32_t, 8>& state,
@@ -325,65 +250,37 @@ void store_digest(const std::array<std::uint32_t, 8>& state,
   }
 }
 
-void single_blocks_portable(const std::uint8_t* blocks,
-                            std::uint8_t* digests) {
-  for (std::size_t l = 0; l < kSha256Lanes; ++l) {
-    std::array<std::uint32_t, 8> state = kInitialState;
-    compress_portable(state, blocks + 64 * l);
-    store_digest(state, digests + 32 * l);
-  }
-}
-
 using CompressFn = void (*)(std::array<std::uint32_t, 8>&,
                             const std::uint8_t*);
-using SingleBlocksFn = void (*)(const std::uint8_t*, std::uint8_t*);
 
-struct Backend {
-  CompressFn compress;
-  SingleBlocksFn single_blocks;
-};
-
-Backend resolve_backend(bool allow_hardware) {
+CompressFn resolve_compress(bool allow_hardware) {
 #ifdef UNICORE_SHA256_X86
   if (allow_hardware && __builtin_cpu_supports("sha") &&
       __builtin_cpu_supports("sse4.1") && __builtin_cpu_supports("ssse3"))
-    return {&compress_shani, &single_blocks_shani};
+    return &compress_shani;
 #else
   (void)allow_hardware;
 #endif
-  return {&compress_portable, &single_blocks_portable};
+  return &compress_portable;
 }
 
-Backend g_backend = resolve_backend(true);
-
-void compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* block) {
-  g_backend.compress(state, block);
-}
+CompressFn g_compress = resolve_compress(true);
 
 }  // namespace
 
 bool sha256_hardware_accelerated() {
-#ifdef UNICORE_SHA256_X86
-  return g_backend.compress == &compress_shani;
-#else
-  return false;
-#endif
+  return g_compress != &compress_portable;
 }
 
-void set_sha256_acceleration(bool enabled) {
-  g_backend = resolve_backend(enabled);
+void set_crypto_acceleration(bool enabled) {
+  g_compress = resolve_compress(enabled);
+  detail::select_aes_backend(enabled);
 }
 
 Sha256::Sha256() : state_(kInitialState) {}
 
 void Sha256::process_block(const std::uint8_t* block) {
-  compress(state_, block);
-}
-
-void sha256_single_blocks(
-    std::span<const std::uint8_t, kSha256Lanes * 64> blocks,
-    std::span<std::uint8_t, kSha256Lanes * 32> digests) {
-  g_backend.single_blocks(blocks.data(), digests.data());
+  g_compress(state_, block);
 }
 
 namespace {
@@ -463,18 +360,21 @@ Sha256& Sha256::update(util::ByteView data) {
 }
 
 Digest Sha256::finish() {
-  std::uint64_t bits = total_bits_;
-  // Padding: 0x80, zeros, then the 64-bit message length.
-  static constexpr std::uint8_t kPadByte = 0x80;
-  update(util::ByteView(&kPadByte, 1));
-  static constexpr std::uint8_t kZero = 0x00;
-  while (buffered_ != 56) update(util::ByteView(&kZero, 1));
-  std::uint8_t len[8];
+  // Padding straight into the block buffer: 0x80, zeros up to byte 56
+  // of a block, then the 64-bit message length. update() leaves at most
+  // 63 bytes buffered, so this takes one compression, or two when the
+  // 0x80 lands past byte 55.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
+    process_block(buffer_.data());
+    buffered_ = 0;
+  }
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
   for (int i = 0; i < 8; ++i)
-    len[i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
-  // Bypass update() so the padding does not count into total_bits_ again
-  // (it already ran through update, which is fine: we captured bits first).
-  update(util::ByteView(len, 8));
+    buffer_[56 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(total_bits_ >> (56 - 8 * i));
+  process_block(buffer_.data());
 
   Digest out;
   store_digest(state_, out.data());

@@ -443,7 +443,7 @@ void SecureChannel::handle_server_finished(ByteReader& reader) {
   // The server MACs the full handshake transcript with its write key —
   // which is our receive key.
   crypto::Digest expected =
-      crypto::hmac_sha256(recv_mac_.material, transcript_);
+      crypto::hmac_sha256(recv_mac_.mac(), transcript_);
   if (!util::constant_time_equal(expected, verify))
     return fail(util::make_error(ErrorCode::kAuthenticationFailed,
                                  "ServerFinished verification failed"),
@@ -498,7 +498,7 @@ void SecureChannel::handle_client_cert(ByteReader& reader) {
   derive_keys();
   ByteWriter finished;
   finished.u8(kServerFinished);
-  crypto::Digest verify = crypto::hmac_sha256(send_mac_.material, transcript_);
+  crypto::Digest verify = crypto::hmac_sha256(send_mac_.mac(), transcript_);
   finished.raw(verify);
   // Ticket tail: offer a resumable session. Outside the transcript MAC —
   // a corrupted ticket only costs the client a refused resumption later,
@@ -574,7 +574,7 @@ void SecureChannel::handle_client_hello_resumed(ByteReader& reader,
   // Key confirmation: MAC the transcript with the freshly derived write
   // key, proving we redeemed the ticket and derived the same schedule.
   crypto::Digest verify =
-      crypto::hmac_sha256(send_mac_.material, transcript_);
+      crypto::hmac_sha256(send_mac_.mac(), transcript_);
   ByteWriter message;
   message.raw(core.bytes());
   message.raw(verify);
@@ -603,7 +603,7 @@ void SecureChannel::handle_server_hello_resumed(ByteReader& reader) {
   util::append(transcript_, core.bytes());
   derive_resumed_keys();
   crypto::Digest expected =
-      crypto::hmac_sha256(recv_mac_.material, transcript_);
+      crypto::hmac_sha256(recv_mac_.mac(), transcript_);
   if (!util::constant_time_equal(expected, verify))
     return fail(util::make_error(ErrorCode::kAuthenticationFailed,
                                  "ServerHelloResumed verification failed"),
@@ -905,8 +905,7 @@ void SecureChannel::handle_record_batch(ByteReader& reader, Bytes& wire) {
     if (r.flags == kFirst) r.total = reader.varint();
     r.offset = reader.position();
     reader.skip(r.size);
-    Bytes tag_bytes = reader.raw(32);
-    std::copy(tag_bytes.begin(), tag_bytes.end(), r.tag.begin());
+    reader.read(r.tag);
     records.push_back(r);
   }
   if (reader.remaining() != 0)

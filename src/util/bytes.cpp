@@ -1,5 +1,6 @@
 #include "util/bytes.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -72,6 +73,13 @@ Bytes ByteReader::raw(std::size_t n) {
             data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
   pos_ += n;
   return out;
+}
+
+void ByteReader::read(std::span<std::uint8_t> out) {
+  need(out.size());
+  std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(pos_), out.size(),
+              out.begin());
+  pos_ += out.size();
 }
 
 Bytes ByteReader::blob() {

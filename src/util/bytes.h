@@ -118,6 +118,8 @@ class ByteReader {
 
   /// Reads `n` raw bytes.
   Bytes raw(std::size_t n);
+  /// Reads out.size() raw bytes into `out`, without allocating.
+  void read(std::span<std::uint8_t> out);
   /// Skips `n` bytes without copying.
   void skip(std::size_t n) {
     need(n);

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace unicore::crypto {
 namespace {
@@ -181,137 +183,170 @@ TEST(InPlace, CrossCompatibleWithCopyingSealOpen) {
   EXPECT_EQ(buffer, util::to_bytes("reverse"));
 }
 
-// --- keystream known answers, both SHA-256 backends --------------------
+TEST(CtrCipher, RejectsKeysOtherThan32Bytes) {
+  EXPECT_THROW(SymmetricKey{Bytes(17, 1)}, std::invalid_argument);
+  EXPECT_THROW(SymmetricKey{Bytes(33, 1)}, std::invalid_argument);
+  EXPECT_THROW(SymmetricKey{Bytes{}}, std::invalid_argument);
+}
 
-// Every lane remainder and tail: empty, sub-block, block edges, the
-// 2/3/4-block edges, a page plus a tail, and a bulk payload.
-constexpr std::size_t kKatLengths[] = {0,   1,   31,  32,  33,  63,
-                                       64,  65,  95,  96,  97,  127,
-                                       128, 129, 4096 + 17, 256 * 1024 + 77};
+// --- one const key shared by record-pool workers ------------------------
+
+TEST(SharedKey, PoolWorkersSealAndOpenWithOneConstKey) {
+  // The record pool seals and opens a batch's records on worker threads
+  // through the channel's keys: the per-key AES and HMAC state must be
+  // read-only, and the output must equal a serial run's.
+  const SymmetricKey enc = key_of(0x51), mac = key_of(0x52);
+  const Bytes aad = util::to_bytes("dir=1");
+  util::Rng rng(91);
+  constexpr std::size_t kRecords = 48;
+  std::vector<Bytes> plaintexts;
+  for (std::size_t i = 0; i < kRecords; ++i)
+    plaintexts.push_back(rng.bytes(37 + 97 * i));  // sub-block to 4.6 KiB
+  std::vector<Bytes> serial = plaintexts;
+  std::vector<Digest> serial_tags(kRecords);
+  for (std::size_t i = 0; i < kRecords; ++i)
+    serial_tags[i] = seal_inplace(enc, mac, i, serial[i], aad);
+
+  util::ThreadPool pool(4);
+  std::vector<Bytes> data = plaintexts;
+  std::vector<Digest> tags(kRecords);
+  pool.parallel_for(kRecords, [&](std::size_t i) {
+    tags[i] = seal_inplace(enc, mac, i, data[i], aad);
+  });
+  EXPECT_EQ(data, serial);
+  EXPECT_EQ(tags, serial_tags);
+  std::vector<int> opened(kRecords, 0);
+  pool.parallel_for(kRecords, [&](std::size_t i) {
+    opened[i] = open_inplace(enc, mac, i, data[i], tags[i], aad).ok();
+  });
+  EXPECT_EQ(opened, std::vector<int>(kRecords, 1));
+  EXPECT_EQ(data, plaintexts);
+}
+
+// --- AES-256-CTR + HMAC known answers, every backend the CPU has ---------
+
+// Empty, sub-block, the 16-byte block edges, the 128-byte step of the
+// xmm loop and its 256-byte edges, one 512-byte zmm step followed by
+// the xmm loop (1000), a page plus a tail, and a bulk payload.
+constexpr std::size_t kKatLengths[] = {0,   1,   15,   16,       17,
+                                       127, 128, 129,  255,      256,
+                                       257, 1000, 4096 + 17, 256 * 1024 + 77};
 
 struct KatCase {
-  std::size_t key_length;  // 32 takes the template path, others the generic
   std::uint64_t nonce;
-  const char* digest;  // SHA-256 over ctr_crypt output for every length
+  const char* ciphertexts;  // SHA-256 over every length's ciphertext
+  const char* tags;         // SHA-256 over every length's tag
 };
 
-// Pinned from the one-block-per-call keystream the record layer shipped
-// before lane-parallel hashing; any change to the keystream breaks them.
+// Generated with python3: `cryptography` 48 AES-256 in CTR mode, initial
+// counter block BE64(nonce) || BE64(0), and `hmac` with SHA-256 over
+// BE64(nonce) || varint(len) || ciphertext || varint(13) || aad, sealing
+// the first n bytes of kat_plaintext() for each n of kKatLengths.
 constexpr KatCase kKatCases[] = {
-    {32, 0, "15606037b7bd3817e86745d3375009938bbf9fdb82c2bfac6b44bd3723ffbd2f"},
-    {32, 1, "a1e146648028de891c1e101774c88912ddddd84ed5f6a2bd7e22d673946613d3"},
-    {32, 1ULL << 63,
-     "7b43b45c382e53d9deb6f73f4411dbdedbcebc3f9301e760b668de649805b106"},
-    {17, 0, "bf09617b0f81f2940bf5fbb9280c22e13f610512fb5bbf806ef98f6dc894fd3f"},
-    {17, 1, "2a30d0cd577e57bdd562f0975211c2cb8de0101db8bc984a3adf3e0d04dc4d7f"},
-    {17, 1ULL << 63,
-     "d9e0b8491608e10e9730a2e4fe61863be0999ee6307e737a826ed01b6d6b38b1"},
+    {0, "529c9e2af878327ecc7d903ed1b593f1352395b213d2273b593321fdd7891d62",
+     "f9259fc74dec888ec0143d5321e9c4a446587e2f48bb899b2c99cb145dda9399"},
+    {1, "58a9c42c3ccd2a230255a4512252fff6bab09205538a89dff0ad11a1c1de17e7",
+     "d9643d25b6141fda5f2d41c143312c474e34ce8e744316c3dd0b1999b8fcb44b"},
+    {1ULL << 63,
+     "162724451ae256cd8ca58e3f0741d6f858fe2c0067424135c0a7c5ed5aee6721",
+     "e84e2204b78b246da9c99aa20b2cc9b81088563f6deb3854c30c9d8c03dfb9fa"},
 };
 
-SymmetricKey kat_key(std::size_t length) {
-  SymmetricKey key;
-  for (std::size_t i = 0; i < length; ++i)
-    key.material.push_back(static_cast<std::uint8_t>(i * 7 + 3));
-  return key;
-}
-
-Bytes kat_plaintext() {
-  Bytes plaintext(256 * 1024 + 77);
-  for (std::size_t i = 0; i < plaintext.size(); ++i)
-    plaintext[i] = static_cast<std::uint8_t>(i * 131 + 7);
-  return plaintext;
-}
-
-std::string hex(const Digest& d) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  for (std::uint8_t b : d) {
-    out.push_back(kHex[b >> 4]);
-    out.push_back(kHex[b & 0xf]);
-  }
+/// Byte i of the pattern is (i * mul + add) mod 256.
+Bytes pattern(std::size_t size, unsigned mul, unsigned add) {
+  Bytes out(size);
+  for (std::size_t i = 0; i < size; ++i)
+    out[i] = static_cast<std::uint8_t>(i * mul + add);
   return out;
 }
 
-/// The construction spelled out: block i of the keystream is
-/// SHA-256(key || nonce || i), both integers big-endian.
+Bytes kat_plaintext() { return pattern(256 * 1024 + 77, 131, 7); }
+SymmetricKey kat_enc_key() { return SymmetricKey{pattern(32, 7, 3)}; }
+SymmetricKey kat_mac_key() { return SymmetricKey{pattern(32, 13, 5)}; }
+Bytes kat_aad() { return pattern(13, 29, 1); }
+
+std::string hex(util::ByteView b) { return util::hex_encode(b); }
+
+/// The construction spelled out: keystream block i is the AES-256 block
+/// encryption of BE64(nonce) || BE64(i).
 Bytes reference_keystream(const SymmetricKey& key, std::uint64_t nonce,
                           std::size_t size) {
   Bytes stream;
-  for (std::uint64_t counter = 0; stream.size() < size; ++counter) {
-    util::ByteWriter input;
-    input.raw(key.material);
-    input.u64(nonce);
-    input.u64(counter);
-    Digest block = sha256(input.bytes());
+  for (std::uint64_t index = 0; stream.size() < size; ++index) {
+    util::ByteWriter counter;
+    counter.u64(nonce);
+    counter.u64(index);
+    std::array<std::uint8_t, 16> block{};
+    aes256_encrypt_block(key.cipher(),
+                         std::span<const std::uint8_t, 16>(
+                             counter.bytes().data(), 16),
+                         block);
     stream.insert(stream.end(), block.begin(), block.end());
   }
   stream.resize(size);
   return stream;
 }
 
-/// Runs each case on the SHA-NI backend (true) or the portable one
-/// (false); the hardware half skips where the CPU has no SHA-NI.
+/// Runs each case on the AES-NI / SHA-NI backend (true) or the portable
+/// one (false); the hardware half skips where the CPU has no AES-NI.
 class KeystreamBackends : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
-    if (GetParam() && !sha256_hardware_accelerated())
-      GTEST_SKIP() << "no SHA-NI on this machine";
-    set_sha256_acceleration(GetParam());
+    if (GetParam() && !aes_hardware_accelerated())
+      GTEST_SKIP() << "no AES-NI on this machine";
+    set_crypto_acceleration(GetParam());
   }
-  void TearDown() override { set_sha256_acceleration(true); }
+  void TearDown() override { set_crypto_acceleration(true); }
 };
+
+TEST_P(KeystreamBackends, Fips197BlockKat) {
+  // FIPS-197 Appendix C.3: AES-256, key 00 01 .. 1f.
+  const Bytes key = pattern(32, 1, 0);
+  const Bytes plaintext =
+      util::hex_decode("00112233445566778899aabbccddeeff");
+  std::array<std::uint8_t, 16> out{};
+  aes256_encrypt_block(aes256_expand_key(std::span<const std::uint8_t, 32>(
+                           key.data(), 32)),
+                       std::span<const std::uint8_t, 16>(plaintext.data(), 16),
+                       out);
+  EXPECT_EQ(hex(out), "8ea2b7ca516745bfeafc49904b496089");
+}
 
 TEST_P(KeystreamBackends, MatchesPinnedDigests) {
   const Bytes plaintext = kat_plaintext();
+  const SymmetricKey enc = kat_enc_key(), mac = kat_mac_key();
+  const Bytes aad = kat_aad();
   for (const KatCase& c : kKatCases) {
-    SymmetricKey key = kat_key(c.key_length);
-    Sha256 all;
-    for (std::size_t n : kKatLengths)
-      all.update(ctr_crypt(key, c.nonce, util::ByteView(plaintext.data(), n)));
-    EXPECT_EQ(hex(all.finish()), c.digest)
-        << "key " << c.key_length << " nonce " << c.nonce;
+    Sha256 ciphertexts, tags;
+    for (std::size_t n : kKatLengths) {
+      Bytes data(plaintext.begin(),
+                 plaintext.begin() + static_cast<std::ptrdiff_t>(n));
+      Digest tag = seal_inplace(enc, mac, c.nonce, data, aad);
+      ciphertexts.update(data);
+      tags.update(tag);
+    }
+    EXPECT_EQ(hex(ciphertexts.finish()), c.ciphertexts) << "nonce " << c.nonce;
+    EXPECT_EQ(hex(tags.finish()), c.tags) << "nonce " << c.nonce;
   }
 }
 
 TEST_P(KeystreamBackends, MatchesReferenceConstruction) {
+  const SymmetricKey key = kat_enc_key();
   for (const KatCase& c : kKatCases) {
-    SymmetricKey key = kat_key(c.key_length);
     // A zero plaintext exposes the raw keystream.
     for (std::size_t n : kKatLengths) {
       if (n > 4096 + 17) continue;  // the pinned digests cover bulk sizes
       EXPECT_EQ(ctr_crypt(key, c.nonce, Bytes(n, 0)),
                 reference_keystream(key, c.nonce, n))
-          << "key " << c.key_length << " nonce " << c.nonce << " length "
-          << n;
+          << "nonce " << c.nonce << " length " << n;
     }
   }
 }
 
-TEST_P(KeystreamBackends, SingleBlocksMatchIncrementalHash) {
-  // Lane i hashes a 48-byte message whose bytes all equal i + 1,
-  // pre-padded into one block.
-  std::array<std::uint8_t, kSha256Lanes * 64> blocks{};
-  for (std::size_t l = 0; l < kSha256Lanes; ++l) {
-    std::uint8_t* block = blocks.data() + 64 * l;
-    std::fill(block, block + 48, static_cast<std::uint8_t>(l + 1));
-    block[48] = 0x80;
-    block[62] = 0x01;
-    block[63] = 0x80;
-  }
-  std::array<std::uint8_t, kSha256Lanes * 32> digests{};
-  sha256_single_blocks(blocks, digests);
-  for (std::size_t l = 0; l < kSha256Lanes; ++l) {
-    Digest expected = sha256(Bytes(48, static_cast<std::uint8_t>(l + 1)));
-    EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
-                           digests.begin() + 32 * l))
-        << "lane " << l;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sha256Backend, KeystreamBackends,
+INSTANTIATE_TEST_SUITE_P(CipherBackend, KeystreamBackends,
                          ::testing::Values(true, false),
                          [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "ShaNi" : "Portable";
+                           return info.param ? "Hardware" : "Portable";
                          });
 
 }  // namespace

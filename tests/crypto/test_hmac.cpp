@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace unicore::crypto {
 namespace {
 
@@ -38,6 +40,43 @@ TEST(Hmac, Rfc4231Case6LongKey) {
                           "Hash Key First"));
   EXPECT_EQ(hex(mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+// A 32-byte key (the handshake's Finished MACs and the record tags use
+// precomputed keys of this size) over messages that end around the
+// inner and outer block edges. Generated with python3 `hmac` (SHA-256),
+// key bytes (i * 13 + 5) mod 256, message bytes (i * 17 + 11) mod 256.
+TEST(Hmac, PrecomputedKeyMatchesPython) {
+  Bytes key(32);
+  for (std::size_t i = 0; i < key.size(); ++i)
+    key[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  const HmacKey precomputed(key);
+  const std::pair<std::size_t, const char*> kCases[] = {
+      {0, "492353251497d42ccd8683fed0babaf7b28d9251376c2b3e0da96a0ba9e45a53"},
+      {1, "a27107fb182304586ab60453dd6cc8d39f8b97fc692badcb143bf9e5f5acd25e"},
+      {55, "9f9411ebb5118f63306c46817d8586abff9d3c0ad348792a53440a3542aa9ac0"},
+      {56, "2c234a25b97061e86072e7a70226f770cc8660b248c192fd891a442a31ed10d0"},
+      {63, "f8aae22a83d525f6f9cc1b123c3bfa19aaa606e1193ac3bbbe64e5536332160b"},
+      {64, "a637fe346d0222b9088035bebbee3f257d3b33272d8dd76431c8df8df348ab9b"},
+      {65, "a1e77e7f484b0a4e9766df871d425dca53fcca970cfc6afc0b5f0af2d34376a6"},
+      {200,
+       "a987b8ef1f35c44c5edf162a4641131675d10f0591159ab4f481a4b05420bb51"},
+      {1000,
+       "56cccf96b7b91006770e20ea496bc30335364dfaf3f8ad0889d5068815bbb020"},
+  };
+  for (const auto& [n, expected] : kCases) {
+    Bytes data(n);
+    for (std::size_t i = 0; i < n; ++i)
+      data[i] = static_cast<std::uint8_t>(i * 17 + 11);
+    EXPECT_EQ(hex(hmac_sha256(precomputed, data)), expected) << "n=" << n;
+    EXPECT_EQ(hex(hmac_sha256(key, data)), expected) << "n=" << n;
+    // Streamed in two parts from the same precomputed key: the key's
+    // saved states are copied, never advanced.
+    HmacSha256 mac(precomputed);
+    mac.update(util::ByteView(data).first(n / 3));
+    mac.update(util::ByteView(data).subspan(n / 3));
+    EXPECT_EQ(hex(mac.finish()), expected) << "n=" << n;
+  }
 }
 
 TEST(Hmac, KeySensitivity) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace unicore::crypto {
 namespace {
 
@@ -65,6 +67,45 @@ TEST(Sha256, ExactBlockSizeInputs) {
   }
 }
 
+// Every message length 0..130 runs each padding case: the length field
+// fits after the 0x80 byte in the last block (n mod 64 <= 55) or spills
+// into one more block (56..63), across one, two and three blocks.
+// Generated with python3 hashlib over bytes (i * 37 + 5) mod 256.
+TEST(Sha256, PaddingEdgesMatchHashlib) {
+  auto message = [](std::size_t n) {
+    util::Bytes m(n);
+    for (std::size_t i = 0; i < n; ++i)
+      m[i] = static_cast<std::uint8_t>(i * 37 + 5);
+    return m;
+  };
+  const std::pair<std::size_t, const char*> kEdges[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {55, "63f52ae0ec1391993ee650b77287900a094013bdd9cf28120f9ff7c703791ddd"},
+      {56, "3d369c762eaea64e0dfb8cf4dde147ff4138fe1fee32fa93cb318302264c1f32"},
+      {63, "b73e65e88fbed8af578fad59b7f5ed237d73b5f5f0ebd608ef9d041073262928"},
+      {64, "4806b7815935102d84ecbaa7958da9b6b1911f10fb4ce1a5670480d125a5f9bd"},
+      {119,
+       "251242f0ca79a6c005977aa95bef1cd9a6ed288ec874f8fc861ed3c60116e379"},
+      {120,
+       "0556360a4457b879efbd578bc223bb7ac04f2a834f62bff292c7fb9bcbfc7765"},
+      {130,
+       "847c421293c2759eb0ccb73e2140c10633b41d863d5b47b767300a314ce47b26"},
+  };
+  for (bool hardware : {true, false}) {
+    if (hardware && !sha256_hardware_accelerated()) continue;
+    set_crypto_acceleration(hardware);
+    for (const auto& [n, digest] : kEdges)
+      EXPECT_EQ(hex(sha256(message(n))), digest) << "n=" << n;
+    // SHA-256 over the concatenated digests of every length 0..130.
+    Sha256 all;
+    for (std::size_t n = 0; n <= 130; ++n) all.update(sha256(message(n)));
+    EXPECT_EQ(hex(all.finish()),
+              "b55ceb28dda5f57104950702d6f4065a9ffb8f4775e87c549e8fe2309881fc07")
+        << (hardware ? "SHA-NI" : "portable");
+  }
+  set_crypto_acceleration(true);
+}
+
 TEST(Sha256, DigestPrefix64BigEndian) {
   Digest d{};
   for (int i = 0; i < 8; ++i) d[static_cast<std::size_t>(i)] =
@@ -89,12 +130,12 @@ TEST(Sha256, HardwareAndPortableBackendsAgree) {
   std::vector<Digest> accelerated;
   for (const std::string& in : inputs) accelerated.push_back(sha256(in));
 
-  set_sha256_acceleration(false);
+  set_crypto_acceleration(false);
   EXPECT_FALSE(sha256_hardware_accelerated());
   for (std::size_t i = 0; i < inputs.size(); ++i)
     EXPECT_EQ(sha256(inputs[i]), accelerated[i])
         << "length " << inputs[i].size();
-  set_sha256_acceleration(true);
+  set_crypto_acceleration(true);
   EXPECT_TRUE(sha256_hardware_accelerated());
 }
 
