@@ -156,10 +156,7 @@ void ctr_portable(const Aes256Key& key, std::uint64_t nonce,
 // --- AES-NI backend -----------------------------------------------------
 
 #ifdef UNICORE_AES_X86
-// The VAES target is a superset of the AES-NI one, so the always_inline
-// xmm helpers below inline into both kernels.
 #define UNICORE_AESNI_TARGET "aes,sse4.1,ssse3"
-#define UNICORE_VAES_TARGET UNICORE_AESNI_TARGET ",avx512f,avx512bw,vaes"
 
 using XmmRoundKeys = __m128i[15];
 
@@ -177,24 +174,29 @@ encrypt_xmm(const XmmRoundKeys& rk, __m128i block) {
   return _mm_aesenclast_si128(block, rk[14]);
 }
 
-/// Reverses the bytes of each 64-bit half: a register holding the
-/// counter as the host-order qwords (nonce, index) becomes the counter
-/// block BE64(nonce) || BE64(index).
-__attribute__((target(UNICORE_AESNI_TARGET), always_inline)) inline __m128i
-counter_swap() {
-  return _mm_set_epi8(8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7);
+__attribute__((target(UNICORE_AESNI_TARGET))) void block_aesni(
+    const Aes256Key& key, const std::uint8_t* in, std::uint8_t* out) {
+  XmmRoundKeys rk;
+  load_round_keys(key, rk);
+  _mm_storeu_si128(
+      reinterpret_cast<__m128i*>(out),
+      encrypt_xmm(rk, _mm_loadu_si128(reinterpret_cast<const __m128i*>(in))));
 }
 
-/// The keystream from block `index` on, XORed over data[0, size): eight
-/// independent blocks per step keep the aesenc pipeline full, then one
-/// block at a time, the last one cut to the data.
-__attribute__((target(UNICORE_AESNI_TARGET), always_inline)) inline void
-ctr_xmm(const XmmRoundKeys& rk, std::uint64_t nonce, std::uint64_t index,
-        std::uint8_t* data, std::size_t size) {
-  const __m128i swap = counter_swap();
+/// The keystream XORed over data[0, size): eight independent blocks per
+/// step keep the aesenc pipeline full, then one block at a time, the
+/// last one cut to the data.
+__attribute__((target(UNICORE_AESNI_TARGET))) void ctr_aesni(
+    const Aes256Key& key, std::uint64_t nonce, std::uint8_t* data,
+    std::size_t size) {
+  XmmRoundKeys rk;
+  load_round_keys(key, rk);
+  // The counter is held as the host-order qwords (nonce, index); the
+  // shuffle reverses the bytes of each half into BE64(nonce) || BE64(index).
+  const __m128i swap =
+      _mm_set_epi8(8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7);
   const __m128i one = _mm_set_epi64x(1, 0);
-  __m128i ctr = _mm_set_epi64x(static_cast<long long>(index),
-                               static_cast<long long>(nonce));
+  __m128i ctr = _mm_set_epi64x(0, static_cast<long long>(nonce));
   constexpr std::size_t kBlocks = 8;
   std::size_t pos = 0;
   for (; size - pos >= kBlocks * 16; pos += kBlocks * 16) {
@@ -228,68 +230,6 @@ ctr_xmm(const XmmRoundKeys& rk, std::uint64_t nonce, std::uint64_t index,
     }
   }
 }
-
-__attribute__((target(UNICORE_AESNI_TARGET))) void block_aesni(
-    const Aes256Key& key, const std::uint8_t* in, std::uint8_t* out) {
-  XmmRoundKeys rk;
-  load_round_keys(key, rk);
-  _mm_storeu_si128(
-      reinterpret_cast<__m128i*>(out),
-      encrypt_xmm(rk, _mm_loadu_si128(reinterpret_cast<const __m128i*>(in))));
-}
-
-__attribute__((target(UNICORE_AESNI_TARGET))) void ctr_aesni(
-    const Aes256Key& key, std::uint64_t nonce, std::uint8_t* data,
-    std::size_t size) {
-  XmmRoundKeys rk;
-  load_round_keys(key, rk);
-  ctr_xmm(rk, nonce, 0, data, size);
-}
-
-/// Bulk on zmm: each vaesenc runs the round on four blocks, and
-/// kZmmBlocks independent registers per step keep its pipeline full.
-/// Records shorter than one step, and what is left after the last one,
-/// go through the xmm loop without paying for the zmm key broadcasts.
-__attribute__((target(UNICORE_VAES_TARGET))) void ctr_vaes(
-    const Aes256Key& key, std::uint64_t nonce, std::uint8_t* data,
-    std::size_t size) {
-  constexpr std::size_t kZmmBlocks = 4;
-  XmmRoundKeys rk;
-  load_round_keys(key, rk);
-  if (size < kZmmBlocks * 64) return ctr_xmm(rk, nonce, 0, data, size);
-  // Broadcasts use the all-lanes maskz form: the plain one's undefined
-  // pass-through operand trips GCC 12's -Wuninitialized.
-  constexpr auto kAll = static_cast<__mmask16>(0xffff);
-  __m512i rk4[15];
-  for (std::size_t r = 0; r < 15; ++r)
-    rk4[r] = _mm512_maskz_broadcast_i32x4(kAll, rk[r]);
-  const __m512i swap = _mm512_maskz_broadcast_i32x4(kAll, counter_swap());
-  const auto n = static_cast<long long>(nonce);
-  // Four counters per register, (nonce, index) in each 128-bit lane.
-  __m512i ctr = _mm512_set_epi64(3, n, 2, n, 1, n, 0, n);
-  const __m512i step = _mm512_set_epi64(4, 0, 4, 0, 4, 0, 4, 0);
-  std::size_t pos = 0;
-  for (; size - pos >= kZmmBlocks * 64; pos += kZmmBlocks * 64) {
-    __m512i b[kZmmBlocks];
-#pragma GCC unroll 8
-    for (std::size_t j = 0; j < kZmmBlocks; ++j) {
-      b[j] = _mm512_xor_si512(_mm512_shuffle_epi8(ctr, swap), rk4[0]);
-      ctr = _mm512_add_epi64(ctr, step);
-    }
-    for (std::size_t r = 1; r < 14; ++r)
-#pragma GCC unroll 8
-      for (std::size_t j = 0; j < kZmmBlocks; ++j)
-        b[j] = _mm512_aesenc_epi128(b[j], rk4[r]);
-#pragma GCC unroll 8
-    for (std::size_t j = 0; j < kZmmBlocks; ++j) {
-      std::uint8_t* p = data + pos + 64 * j;
-      _mm512_storeu_si512(
-          p, _mm512_xor_si512(_mm512_loadu_si512(p),
-                              _mm512_aesenclast_epi128(b[j], rk4[14])));
-    }
-  }
-  ctr_xmm(rk, nonce, pos / 16, data + pos, size - pos);
-}
 #endif  // UNICORE_AES_X86
 
 using CtrFn = void (*)(const Aes256Key&, std::uint64_t, std::uint8_t*,
@@ -305,12 +245,8 @@ struct Backend {
 Backend resolve_backend(bool allow_hardware) {
 #ifdef UNICORE_AES_X86
   if (allow_hardware && __builtin_cpu_supports("aes") &&
-      __builtin_cpu_supports("sse4.1") && __builtin_cpu_supports("ssse3")) {
-    if (__builtin_cpu_supports("vaes") && __builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512bw"))
-      return {&ctr_vaes, &block_aesni};
+      __builtin_cpu_supports("sse4.1") && __builtin_cpu_supports("ssse3"))
     return {&ctr_aesni, &block_aesni};
-  }
 #else
   (void)allow_hardware;
 #endif

@@ -2,12 +2,11 @@
 // keystream: the block cipher of the record layer.
 //
 // Two backends produce identical output and are chosen at startup by
-// CPUID, like SHA-256's: AES-NI, whose bulk loop runs 16 blocks at a
-// time on 512-bit VAES where the CPU has VAES and AVX-512 (F and BW)
-// and 8 xmm blocks at a time otherwise and for tails; and a portable
-// table implementation. The table lookups are indexed by key- and
-// data-dependent bytes, so the portable path is not constant-time
-// (docs/SECURITY.md).
+// CPUID, like SHA-256's: AES-NI, whose bulk loop runs 8 independent
+// blocks per step, and a portable table implementation, which every
+// non-x86 build and every CPU without AES-NI uses. The table lookups
+// are indexed by key- and data-dependent bytes, so the portable path is
+// not constant-time (docs/SECURITY.md).
 #pragma once
 
 #include <array>

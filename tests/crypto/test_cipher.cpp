@@ -226,8 +226,9 @@ TEST(SharedKey, PoolWorkersSealAndOpenWithOneConstKey) {
 // --- AES-256-CTR + HMAC known answers, every backend the CPU has ---------
 
 // Empty, sub-block, the 16-byte block edges, the 128-byte step of the
-// xmm loop and its 256-byte edges, one 512-byte zmm step followed by
-// the xmm loop (1000), a page plus a tail, and a bulk payload.
+// AES-NI bulk loop and its 256-byte edges, seven steps plus a
+// one-block-at-a-time tail cut short (1000), a page plus a tail, and a
+// bulk payload.
 constexpr std::size_t kKatLengths[] = {0,   1,   15,   16,       17,
                                        127, 128, 129,  255,      256,
                                        257, 1000, 4096 + 17, 256 * 1024 + 77};
